@@ -3,7 +3,7 @@ open Oqmc_workloads
 open Oqmc_dist
 
 (* Supervision-overhead benchmark: the same rank-sharded DMC run
-   executed (a) in process by the reference executor, (b) as forked
+   executed (a) in process over the loopback transport, (b) as forked
    supervised ranks, and (c) forked with a mid-run SIGKILL recovered
    from a checkpoint shard — isolating the cost of process isolation,
    the wire protocol, and a full crash recovery. *)

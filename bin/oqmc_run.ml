@@ -141,25 +141,62 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let max_respawn = cfg.Input.max_respawn in
   let elastic = cfg.Input.elastic in
   let gen_deadline_ms = cfg.Input.gen_deadline_ms in
+  (* Bad supervisor input is a usage error: one line, exit 2. *)
+  let usage msg =
+    prerr_endline ("oqmc_run: " ^ msg);
+    exit 2
+  in
   let straggler_policy =
     match
       Oqmc_dist.Supervisor.straggler_policy_of_string
         cfg.Input.straggler_policy
     with
     | Some pol -> pol
-    | None ->
-        invalid_arg
-          "oqmc_run: --straggler-policy must be warn, steal or quarantine"
+    | None -> usage "--straggler-policy must be warn, steal or quarantine"
   in
   let plan =
     match Oqmc_dist.Supervisor.plan_mode_of_string cfg.Input.plan with
     | Some pm -> pm
-    | None -> invalid_arg "oqmc_run: --plan must be count or load"
+    | None -> usage "--plan must be count or load"
   in
   let trace = cfg.Input.trace in
   let telemetry = cfg.Input.telemetry in
   let telemetry_every = max 1 cfg.Input.telemetry_every in
   let progress = cfg.Input.progress in
+  (* Supervised multi-rank parameters, checked before the system is
+     built; the efficiency-audit hook is attached at run time. *)
+  let sup_params =
+    {
+      Oqmc_dist.Supervisor.default_params with
+      ranks;
+      target_walkers = walkers;
+      warmup = steps;
+      generations = blocks * steps;
+      tau;
+      seed = seed + 1;
+      n_domains = domains;
+      heartbeat_s = float_of_int heartbeat_ms /. 1000.;
+      max_respawn;
+      checkpoint =
+        (match checkpoint with Some _ -> checkpoint | None -> restore);
+      checkpoint_every;
+      checkpoint_keep;
+      restore = restore <> None;
+      elastic;
+      gen_deadline_ms;
+      straggler_policy;
+      plan;
+      flightrec;
+      status;
+      trace;
+      telemetry;
+      telemetry_every;
+      progress;
+    }
+  in
+  (if method_ = "dmc" && ranks > 1 then
+     try Oqmc_dist.Supervisor.validate sup_params
+     with Invalid_argument msg -> usage msg);
   let sys = make_system workload reduction with_nlpp precision layout tile seed in
   if delay < 1 then invalid_arg "oqmc_run: --delay must be >= 1";
   if tile < 0 then invalid_arg "oqmc_run: --tile must be >= 0";
@@ -279,34 +316,11 @@ let run input method_ workload variant reduction walkers blocks steps tau
          heartbeats, real walker exchange and crash recovery. *)
       let params =
         {
-          Oqmc_dist.Supervisor.default_params with
-          ranks;
-          target_walkers = walkers;
-          warmup = steps;
-          generations = blocks * steps;
-          tau;
-          seed = seed + 1;
-          n_domains = domains;
-          heartbeat_s = float_of_int heartbeat_ms /. 1000.;
-          max_respawn;
-          checkpoint = (match checkpoint with Some _ -> checkpoint | None -> restore);
-          checkpoint_every;
-          checkpoint_keep;
-          restore = restore <> None;
-          elastic;
-          gen_deadline_ms;
-          straggler_policy;
-          plan;
-          flightrec;
-          status;
-          on_window =
+          sup_params with
+          Oqmc_dist.Supervisor.on_window =
             Option.map
               (fun a _gen -> ignore (Oqmc_autotune.Audit.observe a))
               audit_ctx;
-          trace;
-          telemetry;
-          telemetry_every;
-          progress;
         }
       in
       let res = Oqmc_dist.Supervisor.run ~factory params in

@@ -1,14 +1,21 @@
 open Oqmc_particle
 open Oqmc_rng
 open Oqmc_core
+module Trace = Oqmc_obs.Trace
+module Metrics = Oqmc_obs.Metrics
+module Timers = Oqmc_containers.Timers
 
 (* One worker rank of a supervised multi-rank DMC run.
 
-   A rank owns a SHARD of the walker population and its own domain pool
-   (engines are created inside the rank process, after the fork), and
-   executes the supervisor's lockstep protocol: sweep + reweight on
+   A rank owns a SHARD of the walker population and its own domain pool,
+   and answers the supervisor's generation protocol: sweep + reweight on
    [Begin_gen], report the shard's estimator terms ([Reduce]), branch on
-   command, and ship/absorb serialized walker batches for load balance.
+   command, and ship/absorb walker batches for load balance.
+
+   [handle] is the whole rank side of that protocol: one frame in, the
+   rank's replies out.  Both supervisor transports run it — [serve]
+   inside a forked child reading frames from a pipe, the in-process
+   loopback by direct call — so the rank logic exists once.
 
    The per-generation physics is [Dmc.sweep_generation] — the exact
    function the single-process driver runs — so a shard's trajectory is
@@ -46,64 +53,45 @@ type shard = {
   rng_pool : Xoshiro.t; (* split per walker per generation *)
   mutable acc : int;
   mutable prop : int;
+  mutable timers_base : (string * float * int) list;
+      (* kernel-timer watermark: this incarnation's totals at its last
+         [Reduce] *)
+  mutable writer : Checkpoint.Async.t option;
+      (* background shard writer, created on first async checkpoint *)
 }
 
-(* Build this rank's engines: the factory sees globally distinct indices
-   so every (rank, domain) pair gets an independent engine seed. *)
-let rank_factory ~(factory : int -> Engine_api.t) cfg d =
-  factory ((cfg.rank * cfg.n_domains) + d)
-
-(* Fresh shard: [count] walkers randomized from the rank's master RNG,
-   local energies measured, buffers registered. *)
-let init_shard ~factory ~count ~e_trial cfg =
+(* The factory sees globally distinct indices so every (rank, domain)
+   pair gets an independent engine seed.  [init = Some (e_trial,
+   walkers)] restores a shard (respawn or resume); [None] starts empty
+   and waits for [Init].  RNGs come from the incarnation's seed block. *)
+let create ~(factory : int -> Engine_api.t) ~init cfg =
   let runner =
-    Runner.create ~n_domains:cfg.n_domains ~factory:(rank_factory ~factory cfg)
+    Runner.create ~n_domains:cfg.n_domains ~factory:(fun d ->
+        factory ((cfg.rank * cfg.n_domains) + d))
   in
-  let e0 = Runner.engine runner 0 in
-  let n = e0.Engine_api.n_electrons in
-  let master_rng = Xoshiro.create (rank_seed cfg) in
-  let rng_pool = Xoshiro.create (rank_seed cfg + 1) in
-  let walkers =
-    List.init count (fun _ ->
-        let w = Walker.create n in
-        e0.Engine_api.randomize master_rng;
-        let el = e0.Engine_api.measure () in
-        w.Walker.e_local <- el;
-        e0.Engine_api.register_walker w;
-        w)
-  in
-  let pop = Population.create ~target:cfg.target ~e_trial walkers in
-  { cfg; pop; runner; master_rng; rng_pool; acc = 0; prop = 0 }
-
-(* Restored shard (respawn path): walkers come from a checkpoint shard,
-   RNGs from the new incarnation's seed block. *)
-let restore_shard ~factory ~walkers ~e_trial cfg =
-  let runner =
-    Runner.create ~n_domains:cfg.n_domains ~factory:(rank_factory ~factory cfg)
-  in
-  let pop = Population.create ~target:cfg.target ~e_trial walkers in
+  let e_trial, walkers = Option.value init ~default:(0., []) in
   {
     cfg;
-    pop;
+    pop = Population.create ~target:cfg.target ~e_trial walkers;
     runner;
     master_rng = Xoshiro.create (rank_seed cfg);
     rng_pool = Xoshiro.create (rank_seed cfg + 1);
     acc = 0;
     prop = 0;
+    timers_base = [];
+    writer = None;
   }
 
-let shutdown_shard s = Runner.shutdown s.runner
+let drain_writer s =
+  Option.iter (fun w -> ignore (Checkpoint.Async.drain w)) s.writer
+
+let shutdown_shard s =
+  drain_writer s;
+  Runner.shutdown s.runner
+
 let pop s = s.pop
-let config s = s.cfg
 let move_totals s = (s.acc, s.prop)
 
-(* Cumulative merged kernel-timer totals (key, seconds) of the shard's
-   runner pool — the in-process executor's equivalent of the
-   [timer_us.*] counters a forked rank piggybacks on its Reduce. *)
-let timer_totals s =
-  List.map
-    (fun (k, sec, _) -> (k, sec))
-    (Oqmc_containers.Timers.snapshot (Runner.merged_timers s.runner))
 let set_move_totals s ~acc ~prop =
   s.acc <- acc;
   s.prop <- prop
@@ -118,37 +106,150 @@ let set_rng_states s (master, pool) =
   Xoshiro.restore s.master_rng (Xoshiro.of_state_string master);
   Xoshiro.restore s.rng_pool (Xoshiro.of_state_string pool)
 
-(* Initial-ensemble estimator terms: unit weights, measured energies. *)
-let initial_sums s =
-  List.fold_left
-    (fun (ws, es) w -> (ws +. 1., es +. w.Walker.e_local))
-    (0., 0.)
-    (Population.walkers s.pop)
+(* Kernel-timer increments since this shard's last [Reduce], as
+   [timer_us.<key>] counter deltas (µs, integral). *)
+let timer_kvs s =
+  let curr = Timers.snapshot (Runner.merged_timers s.runner) in
+  let prev = s.timers_base in
+  s.timers_base <- curr;
+  List.filter_map
+    (fun (k, sec, _) ->
+      let before =
+        match List.find_opt (fun (k', _, _) -> k' = k) prev with
+        | Some (_, sec', _) -> sec'
+        | None -> 0.
+      in
+      let d = sec -. before in
+      if d > 0. then Some ('c', "timer_us." ^ k, Float.round (d *. 1e6))
+      else None)
+    curr
 
-(* One generation of shard physics: sweep + reweight every walker
-   against [e_trial], accumulate move totals, return the shard's
-   weighted estimator terms. *)
-let sweep s ~gen ~e_trial =
-  let acc, prop =
-    Dmc.sweep_generation s.runner s.pop
-      ~next_rng:(fun () -> Xoshiro.split s.rng_pool)
-      ~gen ~tau:s.cfg.tau ~e_trial
+(* Write this shard's checkpoint for [gen]; the result is the ack. *)
+let save_checkpoint s ~gen ~e_trial =
+  match s.cfg.checkpoint with
+  | None -> false
+  | Some path -> (
+      let keep = s.cfg.checkpoint_keep
+      and walkers = Population.walkers s.pop in
+      try
+        if s.cfg.async_checkpoint then begin
+          (* Render the shard image now, publish it from a background
+             domain overlapped with the next generation's sweep.  The ack
+             covers the render + the PREVIOUS write's landing;
+             [Checkpoint.latest_complete] revalidates shards on restore,
+             so an optimistic ack can delay recovery by one round but
+             never corrupt it. *)
+          let w =
+            match s.writer with
+            | Some w -> w
+            | None ->
+                let w = Checkpoint.Async.create () in
+                s.writer <- Some w;
+                w
+          in
+          Checkpoint.Async.save_generation w ~keep
+            ~path:(Checkpoint.shard_path ~path ~rank:s.cfg.rank)
+            ~gen ~e_trial walkers
+        end
+        else begin
+          Checkpoint.save_shard ~keep ~path ~rank:s.cfg.rank ~gen ~e_trial
+            walkers;
+          true
+        end
+      with Sys_error _ | Checkpoint.Corrupt _ -> false)
+
+let handle s msg =
+  let reduce ~gen (wsum, esum) =
+    Wire.Reduce
+      {
+        gen;
+        wsum;
+        esum;
+        acc = s.acc;
+        prop = s.prop;
+        n = Population.size s.pop;
+        telemetry = timer_kvs s;
+      }
   in
-  s.acc <- s.acc + acc;
-  s.prop <- s.prop + prop;
-  Population.weighted_energy_sums s.pop
-
-let branch s = Population.branch s.pop s.master_rng
+  match msg with
+  | Wire.Init { count } ->
+      (* First spawn: build the initial sub-ensemble and report its
+         (Σ1, ΣE_L) so the supervisor can form the global starting trial
+         energy. *)
+      let e0 = Runner.engine s.runner 0 in
+      let n = e0.Engine_api.n_electrons in
+      Population.absorb s.pop
+        (List.init count (fun _ ->
+             let w = Walker.create n in
+             e0.Engine_api.randomize s.master_rng;
+             w.Walker.e_local <- e0.Engine_api.measure ();
+             e0.Engine_api.register_walker w;
+             w));
+      [
+        reduce ~gen:0
+          (List.fold_left
+             (fun (ws, es) w -> (ws +. 1., es +. w.Walker.e_local))
+             (0., 0.) (Population.walkers s.pop));
+      ]
+  | Wire.Begin_gen { gen; e_trial } ->
+      (* One generation of shard physics: sweep + reweight every walker
+         against [e_trial], then report the weighted estimator terms. *)
+      let sums =
+        Trace.with_span ~args:[ ("gen", string_of_int gen) ] "rank.generation"
+        @@ fun () ->
+        let acc, prop =
+          Dmc.sweep_generation s.runner s.pop
+            ~next_rng:(fun () -> Xoshiro.split s.rng_pool)
+            ~gen ~tau:s.cfg.tau ~e_trial
+        in
+        s.acc <- s.acc + acc;
+        s.prop <- s.prop + prop;
+        Population.weighted_energy_sums s.pop
+      in
+      [ reduce ~gen sums ]
+  | Wire.Branch { gen } ->
+      Population.branch s.pop s.master_rng;
+      [ Wire.Count { gen; n = Population.size s.pop } ]
+  | Wire.Give { gen; count } ->
+      [ Wire.Walkers { gen; walkers = Population.give s.pop count } ]
+  | Wire.Walkers { walkers; _ } ->
+      Population.absorb s.pop walkers;
+      []
+  | Wire.Checkpoint_cmd { gen; e_trial } ->
+      [ Wire.Ack { gen; ok = save_checkpoint s ~gen ~e_trial } ]
+  | Wire.Join { gen; _ } ->
+      (* Mid-run membership: live as of [gen]; walkers arrive through
+         the rebalancing relays that follow the ack. *)
+      [ Wire.Ack { gen; ok = true } ]
+  | Wire.Drain { gen } ->
+      (* Graceful leave: ship the WHOLE shard (order preserved), then
+         confirm the drain; the supervisor finishes us. *)
+      drain_writer s;
+      let ws = Population.drain s.pop in
+      [
+        Wire.Walkers { gen; walkers = ws };
+        Wire.Leave { gen; count = List.length ws };
+      ]
+  | Wire.Finish ->
+      drain_writer s;
+      [
+        Wire.Final
+          {
+            acc = s.acc;
+            prop = s.prop;
+            walkers = Population.walkers s.pop;
+            trace = "";
+          };
+      ]
+  | _ -> [] (* ignore unexpected frames; the supervisor drives *)
 
 (* ---------- the worker process ---------- *)
 
-(* Serve the supervisor's protocol until [Finish].  Runs inside the
-   forked child; all faults in [cfg.faults] are armed here (first
-   incarnation only — a respawned rank must not re-kill itself). *)
+(* Serve the protocol over pipes until [Finish].  Runs inside the forked
+   child, which owns its process: this is where faults are armed and
+   fired, the real heartbeat is sent, and the process-wide metric deltas
+   and span ring ride along on [Reduce] and [Final]. *)
 let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
-  let module Trace = Oqmc_obs.Trace in
-  let module Metrics = Oqmc_obs.Metrics in
-  let module Timers = Oqmc_containers.Timers in
   Fault.reset ();
   (* The fork inherits the parent's span ring and metric registry: wipe
      the ring and diff metrics against a serve-entry baseline so this
@@ -157,73 +258,22 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
   Trace.clear ();
   Trace.set_rank cfg.rank;
   let metrics_base = ref (Metrics.snapshot ()) in
-  let timers_base = ref [] in
-  (* Per-generation metric/timer deltas piggybacked on the Reduce frame:
-     counters since the last Reduce, gauges as-is, plus kernel-timer
-     increments as [timer_us.<key>] counters (µs, integral). *)
-  let telemetry_kvs shard =
+  let registry_kvs () =
     let curr = Metrics.snapshot () in
     let kvs = Metrics.wire_kvs (Metrics.diff ~prev:!metrics_base curr) in
     metrics_base := curr;
-    let tcurr = Timers.snapshot (Runner.merged_timers shard.runner) in
-    let prev = !timers_base in
-    timers_base := tcurr;
-    let prev_of k =
-      match List.find_opt (fun (k', _, _) -> k' = k) prev with
-      | Some (_, s, _) -> s
-      | None -> 0.
-    in
-    let timer_kvs =
-      List.filter_map
-        (fun (k, s, _) ->
-          let d = s -. prev_of k in
-          if d > 0. then
-            Some ('c', "timer_us." ^ k, Float.round (d *. 1e6))
-          else None)
-        tcurr
-    in
     List.map (fun kv -> Metrics.(kv.kind, kv.key, kv.value)) kvs
-    @ timer_kvs
   in
   List.iter (fun (gen, f) -> Fault.arm_rank_fault ~gen f) cfg.faults;
-  let shard =
-    match init with
-    | Some (e_trial, walkers) -> restore_shard ~factory ~walkers ~e_trial cfg
-    | None -> init_shard ~factory ~count:0 ~e_trial:0. cfg
-  in
-  Wire.send fd_out (Wire.Hello { rank = cfg.rank; pid = Unix.getpid () });
-  let fresh_init ~count =
-    (* First spawn: build the initial sub-ensemble and report its sums
-       so the supervisor can form the global starting trial energy. *)
-    let ws, es =
-      if count = 0 then (0., 0.)
-      else begin
-        let e0 = Runner.engine shard.runner 0 in
-        let n = e0.Engine_api.n_electrons in
-        let walkers =
-          List.init count (fun _ ->
-              let w = Walker.create n in
-              e0.Engine_api.randomize shard.master_rng;
-              let el = e0.Engine_api.measure () in
-              w.Walker.e_local <- el;
-              e0.Engine_api.register_walker w;
-              w)
-        in
-        Population.absorb shard.pop walkers;
-        initial_sums shard
-      end
-    in
+  let shard = create ~factory ~init cfg in
+  let send m =
     Wire.send fd_out
-      (Wire.Reduce
-         {
-           gen = 0;
-           wsum = ws;
-           esum = es;
-           acc = 0;
-           prop = 0;
-           n = Population.size shard.pop;
-           telemetry = telemetry_kvs shard;
-         })
+      (match m with
+      | Wire.Reduce r ->
+          Wire.Reduce { r with telemetry = registry_kvs () @ r.telemetry }
+      | Wire.Final f when Trace.enabled () ->
+          Wire.Final { f with trace = Trace.serialize () }
+      | m -> m)
   in
   let fire_faults ~gen =
     match Fault.rank_fault_due ~gen with
@@ -237,107 +287,20 @@ let serve ~cfg ~(factory : int -> Engine_api.t) ~init ~fd_in ~fd_out =
         Fault.arm_io_failure Fault.Checkpoint_write ~times
     | None -> ()
   in
-  (* Double-buffered background shard writer, created on first use. *)
-  let async_writer = ref None in
-  let writer () =
-    match !async_writer with
-    | Some w -> w
-    | None ->
-        let w = Checkpoint.Async.create () in
-        async_writer := Some w;
-        w
-  in
-  let drain_writer () =
-    match !async_writer with
-    | Some w -> ignore (Checkpoint.Async.drain w)
-    | None -> ()
-  in
-  let running = ref true in
-  while !running do
-    match Wire.recv fd_in with
-    | Wire.Begin_gen { gen; e_trial } ->
+  send (Wire.Hello { rank = cfg.rank; pid = Unix.getpid () });
+  let rec loop () =
+    let msg = Wire.recv fd_in in
+    (match msg with
+    | Wire.Begin_gen { gen; _ } ->
         (* Heartbeat first: it marks the start of the generation's work,
            so the supervisor's RTT EWMA tracks the healthy round-trip
            and injected stalls (slow work) land where real slowness
            would — between the heartbeat and the Reduce. *)
-        Wire.send fd_out (Wire.Heartbeat { gen });
-        fire_faults ~gen;
-        let wsum, esum =
-          Trace.with_span
-            ~args:[ ("gen", string_of_int gen) ]
-            "rank.generation"
-            (fun () -> sweep shard ~gen ~e_trial)
-        in
-        Wire.send fd_out
-          (Wire.Reduce
-             {
-               gen;
-               wsum;
-               esum;
-               acc = shard.acc;
-               prop = shard.prop;
-               n = Population.size shard.pop;
-               telemetry = telemetry_kvs shard;
-             })
-    | Wire.Branch { gen } ->
-        branch shard;
-        Wire.send fd_out (Wire.Count { gen; n = Population.size shard.pop })
-    | Wire.Give { gen; count } ->
-        let ws = Population.give shard.pop count in
-        Wire.send fd_out (Wire.Walkers { gen; walkers = ws })
-    | Wire.Walkers { walkers; _ } -> Population.absorb shard.pop walkers
-    | Wire.Checkpoint_cmd { gen; e_trial } ->
-        let ok =
-          match cfg.checkpoint with
-          | None -> false
-          | Some path when cfg.async_checkpoint -> (
-              (* Render the shard image now, publish it from a background
-                 domain overlapped with the next generation's sweep.  The
-                 ack covers the render + the PREVIOUS write's landing;
-                 [Checkpoint.latest_complete] revalidates shards on
-                 restore, so an optimistic ack can delay recovery by one
-                 round but never corrupt it. *)
-              try
-                Checkpoint.Async.save_generation (writer ())
-                  ~keep:cfg.checkpoint_keep
-                  ~path:(Checkpoint.shard_path ~path ~rank:cfg.rank)
-                  ~gen ~e_trial
-                  (Population.walkers shard.pop)
-              with Sys_error _ | Checkpoint.Corrupt _ -> false)
-          | Some path -> (
-              try
-                Checkpoint.save_shard ~keep:cfg.checkpoint_keep ~path
-                  ~rank:cfg.rank ~gen ~e_trial
-                  (Population.walkers shard.pop);
-                true
-              with Sys_error _ | Checkpoint.Corrupt _ -> false)
-        in
-        Wire.send fd_out (Wire.Ack { gen; ok })
-    | Wire.Join { gen; e_trial = _ } ->
-        (* Mid-run membership: this freshly forked rank is live as of
-           [gen]; its walkers arrive through the rebalancing relays that
-           follow the ack. *)
-        Wire.send fd_out (Wire.Ack { gen; ok = true })
-    | Wire.Drain { gen } ->
-        (* Graceful leave: ship the WHOLE shard (order preserved), then
-           confirm the drain; the supervisor finishes and reaps us. *)
-        drain_writer ();
-        let ws = Population.drain shard.pop in
-        Wire.send fd_out (Wire.Walkers { gen; walkers = ws });
-        Wire.send fd_out (Wire.Leave { gen; count = List.length ws })
-    | Wire.Finish ->
-        drain_writer ();
-        Wire.send fd_out
-          (Wire.Final
-             {
-               acc = shard.acc;
-               prop = shard.prop;
-               walkers = Population.walkers shard.pop;
-               trace =
-                 (if Trace.enabled () then Trace.serialize () else "");
-             });
-        running := false
-    | Wire.Init { count } -> fresh_init ~count
-    | _ -> () (* ignore unexpected frames; the supervisor drives *)
-  done;
+        send (Wire.Heartbeat { gen });
+        fire_faults ~gen
+    | _ -> ());
+    List.iter send (handle shard msg);
+    match msg with Wire.Finish -> () | _ -> loop ()
+  in
+  loop ();
   shutdown_shard shard

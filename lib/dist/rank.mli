@@ -2,11 +2,12 @@ open Oqmc_particle
 open Oqmc_core
 
 (** One worker rank of a supervised multi-rank DMC run: a population
-    shard plus its own domain pool, driven by the supervisor's lockstep
-    wire protocol.  The per-generation physics is
-    [Dmc.sweep_generation] — the same function the single-process
-    driver runs — so fault-free multi-rank trajectories are
-    bit-identical to the in-process reference executor. *)
+    shard plus its own domain pool.  {!handle} is the rank side of the
+    supervisor's generation protocol ({!Wire}), written once and run by
+    both transports: {!serve} drives it over pipes inside a forked child;
+    the supervisor's in-process loopback calls it directly.  The
+    per-generation physics is [Dmc.sweep_generation] — the same function
+    the single-process driver runs. *)
 
 type config = {
   rank : int;
@@ -30,40 +31,26 @@ type config = {
 val rank_seed : config -> int
 (** Disjoint deterministic seed block for (rank, incarnation). *)
 
-(** {1 Shard executor (shared with the in-process reference)} *)
+(** {1 Shards} *)
 
 type shard
 
-val init_shard :
+val create :
   factory:(int -> Engine_api.t) ->
-  count:int ->
-  e_trial:float ->
+  init:(float * Walker.t list) option ->
   config ->
   shard
-(** Fresh shard: [count] randomized walkers with measured local
-    energies and registered buffers, plus this rank's runner pool. *)
-
-val restore_shard :
-  factory:(int -> Engine_api.t) ->
-  walkers:Walker.t list ->
-  e_trial:float ->
-  config ->
-  shard
-(** Respawn path: walkers from a checkpoint shard, RNGs from the new
-    incarnation's seed block. *)
+(** A shard with this incarnation's runner pool and RNG seed block.
+    [init = Some (e_trial, walkers)] restores walkers (respawn, resume);
+    [None] starts empty and waits for an [Init] frame. *)
 
 val shutdown_shard : shard -> unit
+(** Join any in-flight background checkpoint write, then stop the
+    runner pool. *)
 
 val pop : shard -> Population.t
-val config : shard -> config
 val move_totals : shard -> int * int
 (** Lifetime (accepted, proposed) move totals. *)
-
-val timer_totals : shard -> (string * float) list
-(** Cumulative merged kernel-timer totals (key, seconds) of this shard's
-    runner pool — what a forked rank exports as [timer_us.*] counters.
-    Lets the in-process executor feed the same registry counters the
-    efficiency audit reads. *)
 
 val set_move_totals : shard -> acc:int -> prop:int -> unit
 (** Overwrite the lifetime move totals (job-snapshot resume). *)
@@ -77,15 +64,13 @@ val set_rng_states : shard -> string * string -> unit
     continues the exact draw sequence.
     @raise Invalid_argument on malformed state strings. *)
 
-val initial_sums : shard -> float * float
-(** (Σ1, ΣE_L) of the initial unit-weight ensemble — the gen-0 terms of
-    the global starting trial energy. *)
-
-val sweep : shard -> gen:int -> e_trial:float -> float * float
-(** One generation of shard physics; returns the shard's weighted
-    estimator terms (Σw, Σw·E_L). *)
-
-val branch : shard -> unit
+val handle : shard -> Wire.msg -> Wire.msg list
+(** The rank side of the protocol: apply one supervisor frame, return
+    the replies in send order.  [Reduce] frames carry this shard's own
+    [timer_us.*] deltas (per incarnation, so a refilled slot starts from
+    zero); [Final] carries an empty trace.  [Heartbeat] is not produced
+    here — it belongs to the transport, which sends it when a
+    [Begin_gen] arrives, before calling [handle]. *)
 
 (** {1 The worker process} *)
 
@@ -96,7 +81,8 @@ val serve :
   fd_in:Unix.file_descr ->
   fd_out:Unix.file_descr ->
   unit
-(** Run the rank protocol until [Finish].  Called inside the forked
-    child; [init = Some (e_trial, walkers)] restores a respawned rank
-    from its checkpoint shard, [None] starts empty and waits for the
-    supervisor's [Init]. *)
+(** Run {!handle} over the pipes until [Finish].  Called inside the
+    forked child, which owns its process: it arms and fires [cfg.faults],
+    sends the real heartbeat, and adds the process-wide registry deltas
+    to each [Reduce] and the span ring to [Final].  [init] is as for
+    {!create}. *)

@@ -1,12 +1,13 @@
 open Oqmc_particle
 
-(** Mid-run job snapshots for the in-process ([run_local]) supervised
-    executor: walkers go through the checkpoint shard files, and a
-    CRC-trailed [path.job.gen-N] metadata file captures everything else
-    the trajectory depends on — per-rank RNG stream states, lifetime
-    move totals, the measured energy/population series, sample and comm
-    counters, and the trial energy — so a suspended or crashed job
-    resumes {e bit-identically} where it stopped.  This is the serve
+(** Mid-run job snapshots for supervised runs over the in-process
+    loopback ([run_job ~local:true]): walkers go through the checkpoint
+    shard files, and a CRC-trailed [path.job.gen-N] metadata file
+    captures everything else the trajectory depends on — per-rank RNG
+    stream states, lifetime move totals, the measured energy/population
+    series, sample and comm counters, and the trial energy — so a
+    suspended or crashed job resumes {e bit-identically} where it
+    stopped.  This is the serve
     layer's crash/deadline recovery primitive. *)
 
 type rank_state = {

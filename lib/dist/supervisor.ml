@@ -6,42 +6,62 @@ module Telemetry = Oqmc_obs.Telemetry
 module Progress = Oqmc_obs.Progress
 module Ledger = Oqmc_obs.Ledger
 module Flightrec = Oqmc_obs.Flightrec
+module Timers = Oqmc_containers.Timers
 
-(* Supervised multi-rank DMC execution.
+(* Supervised multi-rank DMC execution: ONE generation coordinator
+   ([coordinate]) over a small [transport] interface, with two
+   transports.
 
-   [run] forks N worker rank processes (Unix processes — real fault
-   isolation: a segfault, OOM kill or poisoned domain takes down ONE
-   rank, not the run) and drives them through a generation protocol
-   over pipes (Wire):
+   The coordinator drives every member rank through the generation
+   protocol (Wire):
 
      Begin_gen → (Heartbeat, Reduce) → Branch → Count
        → Give/Walkers relays (real load-balance exchange)
        → Checkpoint_cmd/Ack rounds → … → Finish/Final
 
+   and owns everything above the frames: membership, slot refill,
+   exchange planning, the ascending-rank reduction, checkpoint rounds,
+   recovery, telemetry and status.  The rank side of every frame is
+   [Rank.handle].  The transports:
+
+   - [pipes] forks one Unix process per rank (real fault isolation: a
+     segfault, OOM kill or poisoned domain takes down ONE rank) and
+     speaks Wire frames over pipes.  [run] and [run_job ~local:false].
+   - [loopback] keeps [Rank.shard]s in this process, calls
+     [Rank.handle] directly and queues the replies.  [run_local] and
+     [run_job ~local:true].  It never arms fault injection, sends no
+     real heartbeat (the frame is queued before the work, so the
+     measured RTT is ~0) and runs the shards one after another; it is
+     the only transport that captures and restores job snapshots,
+     because RNG states and move totals live in the shards.
+
+   Both transports run the same coordinator over the same rank handler,
+   so a fault-free [run] is bit-identical to [run_local] by
+   construction, with or without a membership plan.
+
    The rank set is ELASTIC: the membership plan can grow the set
-   mid-run (fork + [Join] + rebalance through the exchange relays) and
+   mid-run (spawn + [Join] + rebalance through the exchange relays) and
    retire ranks gracefully ([Drain] → the whole shard ships to the
-   survivors → Finish/reap).  Slots lost to unrecoverable failures are
+   survivors → Finish).  Slots lost to unrecoverable failures are
    refillable by later joins, so degraded mode is reversible.
 
    Generations are deadline-budgeted rather than hard-lockstep: phase 2
-   collects heartbeat/reduce frames in ARRIVAL order over a select
-   loop (folding the float reduction in ascending rank order, so the
-   trajectory stays bit-identical to the lockstep reference), and a
-   rank that blows its soft deadline — [gen_deadline_ms] plus three
-   heartbeat-RTT EWMAs of slack — is handled per [straggler_policy]:
-   warn (count it), steal (shed a quarter of its walkers to the
-   fastest rank), or quarantine (three consecutive misses → treated as
-   a stall and respawned).
+   collects heartbeat/reduce frames in ARRIVAL order (folding the float
+   reduction in ascending rank order, so the trajectory does not depend
+   on arrival order), and a rank that blows its soft deadline —
+   [gen_deadline_ms] plus three heartbeat-RTT EWMAs of slack — is
+   handled per [straggler_policy]: warn (count it), steal (shed a
+   quarter of its walkers to the fastest rank), or quarantine (three
+   consecutive misses → treated as a stall and respawned).
 
    Robustness machinery, exercised deterministically by the Fault rank
    injectors and the [Chaos] schedule planner:
 
    - every read of a rank carries the heartbeat deadline: a stalled rank
-     surfaces as [Wire.Timeout], a crashed one as [Wire.Closed] (EOF,
-     confirmed by [waitpid]), a corrupted stream as [Wire.Garbage];
-   - a failed rank is SIGKILLed, reaped and respawned with exponential
-     backoff from its newest *valid* checkpoint shard
+     surfaces as [Wire.Timeout], a crashed one as [Wire.Closed], a
+     corrupted stream as [Wire.Garbage];
+   - a failed rank is killed and respawned with exponential backoff
+     from its newest *valid* checkpoint shard
      ([Checkpoint.load_latest_shard]) — or from fresh walkers when it
      never checkpointed — rejoining at the next generation;
    - after [max_respawn] respawns the rank is declared unrecoverable:
@@ -51,18 +71,14 @@ module Flightrec = Oqmc_obs.Flightrec
      Σw·E_L / Σw is self-normalizing, so dropping a rank's terms from a
      generation leaves the energy unbiased (see docs/ROBUSTNESS.md);
    - SIGTERM/SIGINT raise [Interrupted] so the normal unwind path runs:
-     children reaped, telemetry/trace sinks flushed and closed — the
-     JSONL tail stays parseable even on abort;
-   - with zero injected faults and no membership events the run is
-     BIT-IDENTICAL to [run_local], the in-process reference executor
-     over the same logical shards (asserted in test/test_dist.ml) —
-     with membership events it is bit-identical to [run_local] driven
-     by the same membership plan.
+     members torn down, telemetry/trace sinks flushed and closed — the
+     JSONL tail stays parseable even on abort.
 
-   The supervisor itself never spawns OCaml domains, so forking stays
-   safe at any point of the run; callers must not hold live domains of
-   their own across a [run] call.  (Rank processes DO spawn domains —
-   including the [Checkpoint.Async] writer — but only after the fork.) *)
+   Over pipes the supervisor process itself never spawns OCaml domains,
+   so forking stays safe at any point of the run; callers must not hold
+   live domains of their own across a [run] call.  (Rank processes DO
+   spawn domains — including the [Checkpoint.Async] writer — but only
+   after the fork.) *)
 
 type straggler_policy = Warn | Steal | Quarantine
 
@@ -275,62 +291,7 @@ let rank_config (p : params) ~rank ~incarnation ~after =
         p.faults;
   }
 
-(* ---------- result statistics (shared by run and run_local) ---------- *)
-
-(* Generation wall-time percentiles via the shared bucketed quantile
-   estimator — the same estimator the ledger and Status views use, so
-   every reported percentile carries the same semantics. *)
-let wall_percentile gen_times q =
-  match Metrics.quantile (Metrics.hview_of_values gen_times) q with
-  | Some (estimate, _) -> estimate
-  | None -> 0.
-
-let finalize ~p ~t0 ~energy_series ~pop_series ~comm_messages ~comm_bytes
-    ~respawns ~heartbeat_timeouts ~garbage_frames ~crashes ~ranks_failed
-    ~live_ranks ~degraded_generations ~joins ~leaves ~stragglers ~steals
-    ~membership_skipped ~membership_log ~gen_times ~acc ~prop ~final_walkers
-    ~final_e_trial =
-  ignore p;
-  let wall_time = Oqmc_containers.Timers.now () -. t0 in
-  let energy = Stats.series_mean energy_series in
-  let variance = Stats.series_variance energy_series in
-  let pops = Array.of_list (List.rev pop_series) in
-  {
-    energy;
-    energy_error = Stats.series_error energy_series;
-    variance;
-    tau_corr = Stats.autocorrelation_time energy_series;
-    acceptance = float_of_int acc /. float_of_int (max 1 prop);
-    wall_time;
-    mean_population =
-      (if Array.length pops = 0 then 0.
-       else
-         float_of_int (Array.fold_left ( + ) 0 pops)
-         /. float_of_int (Array.length pops));
-    energy_series = Stats.to_array energy_series;
-    population_series = pops;
-    comm_messages;
-    comm_bytes;
-    respawns;
-    heartbeat_timeouts;
-    garbage_frames;
-    crashes;
-    ranks_failed = List.sort compare ranks_failed;
-    live_ranks;
-    degraded_generations;
-    joins;
-    leaves;
-    stragglers;
-    steals;
-    membership_skipped;
-    membership_log = List.rev membership_log;
-    gen_p50_s = wall_percentile gen_times 0.50;
-    gen_p99_s = wall_percentile gen_times 0.99;
-    final_walkers;
-    final_e_trial;
-  }
-
-(* ---------- observability plumbing (shared by run and run_local) ----------
+(* ---------- observability plumbing ----------
 
    Enables tracing when a trace path is requested (forked ranks inherit
    the enabled flag, so this must happen BEFORE any fork), opens the
@@ -460,474 +421,43 @@ let fire_window (p : params) gen =
     | None -> ()
     | Some f -> ( try f gen with _ -> ())
 
-(* In-process analogue of a forked rank's [timer_us.*] piggyback: fold
-   each shard's kernel-timer deltas into the global registry so the
-   efficiency audit sees per-kernel time regardless of executor. *)
-let absorb_timer_deltas prev_timers shards =
-  List.iter
-    (fun (r, s) ->
-      let now = Rank.timer_totals s in
-      let before =
-        Option.value ~default:[] (Hashtbl.find_opt prev_timers r)
-      in
-      Hashtbl.replace prev_timers r now;
-      List.iter
-        (fun (k, sec) ->
-          let d =
-            sec -. Option.value ~default:0. (List.assoc_opt k before)
-          in
-          if d > 0. then
-            Metrics.add
-              (Metrics.counter ("timer_us." ^ k))
-              (int_of_float (Float.round (d *. 1e6))))
-        now)
-    shards
+(* Generation wall-time percentiles via the shared bucketed quantile
+   estimator — the same estimator the ledger and Status views use, so
+   every reported percentile carries the same semantics. *)
+let wall_percentile gen_times q =
+  match Metrics.quantile (Metrics.hview_of_values gen_times) q with
+  | Some (estimate, _) -> estimate
+  | None -> 0.
 
-(* ---------- in-process reference executor ---------- *)
+(* ---------- transports ----------
 
-(* The same rank-sharded algorithm as [run], executed over logical
-   shards inside this process: no fork, no pipes, no serialization.
-   This is the oracle the forked path is asserted bit-identical
-   against — including elastic membership, which is applied here with
-   the same slot-refill and lowest-survivor rules — and a convenient
-   single-process driver for rank-shaped runs. *)
-let run_local_ext ~(factory : int -> Engine_api.t) ~handle_signals ~stop
-    ~snapshot ~snapshot_every (p : params) : job_outcome =
-  validate p;
-  if snapshot <> None && p.membership <> [] then
-    invalid_arg "Supervisor: job snapshots require an empty membership plan";
-  if snapshot_every < 1 then invalid_arg "Supervisor: snapshot_every < 1";
-  let emit, emit_event, update_progress, obs_close = obs_setup p in
-  let saved_signals = if handle_signals then install_signals () else [] in
-  Fun.protect
-    ~finally:(fun () ->
-      restore_signals saved_signals;
-      obs_close ())
-  @@ fun () ->
-  try
-  (* A valid snapshot of THIS job (parameters echoed and matching)
-     resumes the run bit-identically; anything else starts fresh. *)
-  let resume =
-    match snapshot with
-    | None -> None
-    | Some path -> (
-        match Snapshot.load_latest ~path with
-        | Some (st, shards)
-          when st.Snapshot.seed = p.seed
-               && st.Snapshot.ranks = p.ranks
-               && st.Snapshot.target = p.target_walkers
-               && st.Snapshot.gen <= p.warmup + p.generations ->
-            Some (st, shards)
-        | _ -> None)
-  in
-  let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
-  (* Sorted ascending by rank id; grows and shrinks with membership. *)
-  let members : (int * Rank.shard) list ref =
-    ref
-      (match resume with
-      | None ->
-          List.init p.ranks (fun r ->
-              ( r,
-                Rank.init_shard ~factory ~count:counts.(r) ~e_trial:0.
-                  (rank_config p ~rank:r ~incarnation:0 ~after:(-1)) ))
-      | Some (st, shards) ->
-          List.map
-            (fun (rs : Snapshot.rank_state) ->
-              let ws = List.assoc rs.Snapshot.r_rank shards in
-              let s =
-                Rank.restore_shard ~factory ~walkers:ws
-                  ~e_trial:st.Snapshot.e_trial
-                  (rank_config p ~rank:rs.Snapshot.r_rank ~incarnation:0
-                     ~after:(-1))
-              in
-              Rank.set_rng_states s (rs.Snapshot.r_master, rs.Snapshot.r_pool);
-              Rank.set_move_totals s ~acc:rs.Snapshot.r_acc
-                ~prop:rs.Snapshot.r_prop;
-              (rs.Snapshot.r_rank, s))
-            st.Snapshot.rank_states)
-  in
-  let vacant = ref [] and next_id = ref p.ranks in
-  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun (_, s) -> Rank.shutdown_shard s) !members)
-  @@ fun () ->
-  (* Global starting trial energy from the per-rank initial sums,
-     reduced in ascending rank order — or, on resume, the snapshot's
-     running state (series, counters, trial energy) verbatim. *)
-  let e_trial =
-    ref
-      (match resume with
-      | Some (st, _) -> st.Snapshot.e_trial
-      | None ->
-          let w0 = ref 0. and e0 = ref 0. in
-          List.iter
-            (fun (_, s) ->
-              let w, e = Rank.initial_sums s in
-              w0 := !w0 +. w;
-              e0 := !e0 +. e)
-            !members;
-          if !w0 > 0. then !e0 /. !w0 else 0.)
-  in
-  let energy_series = Stats.make_series () in
-  let pop_series = ref [] in
-  let comm_messages = ref 0 and comm_bytes = ref 0 in
-  let samples = ref 0 in
-  (match resume with
-  | None -> ()
-  | Some (st, _) ->
-      Array.iter (fun e -> Stats.append energy_series e) st.Snapshot.energy;
-      pop_series := List.rev (Array.to_list st.Snapshot.pops);
-      comm_messages := st.Snapshot.comm_messages;
-      comm_bytes := st.Snapshot.comm_bytes;
-      samples := st.Snapshot.samples);
-  let joins = ref 0 and leaves = ref 0 and skipped = ref 0 in
-  let membership_log = ref [] in
-  let gen_times = ref [] in
-  let acc_extra = ref 0 and prop_extra = ref 0 in
-  let t0 = Oqmc_containers.Timers.now () in
-  let total_gens = p.warmup + p.generations in
-  let start_gen = match resume with Some (st, _) -> st.Snapshot.gen | None -> 0 in
-  let total_walkers () =
-    List.fold_left (fun a (_, s) -> a + Population.size (Rank.pop s)) 0 !members
-  in
-  let m_gen_s = Metrics.histogram "sup.generation_s" in
-  let ledger = Ledger.create () in
-  let write_status = status_writer p in
-  (* Per-shard proposed-move watermarks, so the ledger sees deltas even
-     though [Rank.move_totals] is cumulative (and may be nonzero on a
-     snapshot resume). *)
-  let prev_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  List.iter
-    (fun (r, s) -> Hashtbl.replace prev_prop r (snd (Rank.move_totals s)))
-    !members;
-  (* Kernel-timer watermarks feeding [absorb_timer_deltas]. *)
-  let prev_timers : (int, (string * float) list) Hashtbl.t =
-    Hashtbl.create 8
-  in
-  let plan_weights () =
-    match p.plan with
-    | Count_level -> None
-    | Load_level -> Ledger.speed_weights ledger (List.map fst !members)
-  in
-  (* Snapshot the complete dynamical state at a generation boundary:
-     everything [resume] restores above.  IO failures are swallowed — a
-     snapshot that does not land only costs resume granularity. *)
-  let save_snap ~gen =
-    match snapshot with
-    | None -> ()
-    | Some path -> (
-        let rank_states =
-          List.map
-            (fun (r, s) ->
-              let master, pool = Rank.rng_states s in
-              let a, pr = Rank.move_totals s in
-              {
-                Snapshot.r_rank = r;
-                r_master = master;
-                r_pool = pool;
-                r_acc = a;
-                r_prop = pr;
-              })
-            !members
-        in
-        let st =
-          {
-            Snapshot.gen;
-            seed = p.seed;
-            ranks = p.ranks;
-            target = p.target_walkers;
-            e_trial = !e_trial;
-            energy = Stats.to_array energy_series;
-            pops = Array.of_list (List.rev !pop_series);
-            samples = !samples;
-            comm_messages = !comm_messages;
-            comm_bytes = !comm_bytes;
-            rank_states;
-          }
-        in
-        try
-          Snapshot.save ~path st
-            (List.map
-               (fun (r, s) -> (r, Population.walkers (Rank.pop s)))
-               !members)
-        with Sys_error _ | Checkpoint.Corrupt _ -> ())
-  in
-  let gen_ref = ref (start_gen + 1) in
-  let job_drained = ref false in
-  while (not !job_drained) && !gen_ref <= total_gens do
-    let gen = !gen_ref in
-    Trace.with_span ~args:[ ("gen", string_of_int gen) ] "sup.generation"
-    @@ fun () ->
-    let gen_t0 = Oqmc_containers.Timers.now () in
-    let measuring = gen > p.warmup in
-    let wsum_t = ref 0. and esum_t = ref 0. and n_t = ref 0 in
-    List.iter
-      (fun (r, s) ->
-        let sh_t0 = Oqmc_containers.Timers.now () in
-        let w, e = Rank.sweep s ~gen ~e_trial:!e_trial in
-        wsum_t := !wsum_t +. w;
-        esum_t := !esum_t +. e;
-        n_t := !n_t + Population.size (Rank.pop s);
-        (* Feed the throughput ledger: proposed-move delta over the
-           shard's sweep wall — the in-process analogue of the forked
-           path's arrival-time accounting. *)
-        let _, pr = Rank.move_totals s in
-        let before = Option.value ~default:0 (Hashtbl.find_opt prev_prop r) in
-        Hashtbl.replace prev_prop r pr;
-        Ledger.observe_gen ledger ~rank:r ~gen ~moves:(max 0 (pr - before))
-          ~wall_s:(Oqmc_containers.Timers.now () -. sh_t0))
-      !members;
-    let e_gen = if !wsum_t > 0. then !esum_t /. !wsum_t else !e_trial in
-    if measuring then begin
-      Stats.append energy_series e_gen;
-      pop_series := !n_t :: !pop_series;
-      samples := !samples + !n_t
-    end;
-    List.iter (fun (_, s) -> Rank.branch s) !members;
-    let weights = plan_weights () in
-    let shards =
-      Array.of_list (List.map (fun (_, s) -> Rank.pop s) !members)
-    in
-    let ids = Array.of_list (List.map fst !members) in
-    (* Account the exchange volume per rank before applying the (same,
-       deterministic) plan. *)
-    List.iter
-      (fun { Population.src; dst; count } ->
-        Ledger.add_exchange ledger ~rank:ids.(src) ~walkers:count;
-        Ledger.add_exchange ledger ~rank:ids.(dst) ~walkers:count)
-      (Population.plan ?weights (Array.map Population.size shards));
-    let report = Population.exchange ?weights shards in
-    comm_messages := !comm_messages + report.Population.messages;
-    comm_bytes := !comm_bytes + report.Population.bytes;
-    let total = total_walkers () in
-    e_trial :=
-      Population.trial_energy_update ~feedback:p.feedback ~tau:p.tau
-        ~target:p.target_walkers ~population:total ~e_estimate:e_gen;
-    (match p.checkpoint with
-    | Some path when p.checkpoint_every > 0 && gen mod p.checkpoint_every = 0
-      ->
-        let acked = ref [] in
-        List.iter
-          (fun (r, s) ->
-            try
-              Checkpoint.save_shard ~keep:p.checkpoint_keep ~path ~rank:r
-                ~gen ~e_trial:!e_trial
-                (Population.walkers (Rank.pop s));
-              acked := r :: !acked
-            with Sys_error _ | Checkpoint.Corrupt _ -> ())
-          !members;
-        (try
-           Checkpoint.save_manifest ~path ~gen ~ranks:(List.rev !acked) ()
-         with Sys_error _ -> ())
-    | _ -> ());
-    let elapsed = Oqmc_containers.Timers.now () -. t0 in
-    let gen_record =
-      Oqmc_obs.Jsonx.(Obj
-         [
-           ("gen", Num (float_of_int gen));
-           ("e_gen", Num e_gen);
-           ("e_trial", Num !e_trial);
-           ("population", Num (float_of_int total));
-           ("ranks", Num (float_of_int (List.length !members)));
-           ( "walkers_per_s",
-             Num
-               (if elapsed > 0. then float_of_int !samples /. elapsed
-                else 0.) );
-           ("wall_s", Num elapsed);
-         ])
-    in
-    Flightrec.record "gen" gen_record;
-    if measuring then emit ~gen:(gen - p.warmup) gen_record;
-    update_progress
-      (Printf.sprintf "dmc[local %d ranks] gen %d/%d  E %+.6f  E_T %+.6f  pop %d"
-         (List.length !members) gen total_gens e_gen !e_trial total);
-    (* Membership events scheduled for this generation, applied with
-       the SAME slot and delivery rules as the forked supervisor so the
-       two paths stay bit-identical under a shared plan. *)
-    List.iter
-      (fun (g, ev) ->
-        if g = gen then
-          match ev with
-          | Join ->
-              let before = total_walkers () in
-              let id, incarnation =
-                match List.sort compare !vacant with
-                | v :: rest ->
-                    vacant := rest;
-                    (v, Option.value ~default:0 (Hashtbl.find_opt incarnations v))
-                | [] ->
-                    let id = !next_id in
-                    incr next_id;
-                    (id, 0)
-              in
-              let shard =
-                Rank.init_shard ~factory ~count:0 ~e_trial:0.
-                  (rank_config p ~rank:id ~incarnation ~after:gen)
-              in
-              members :=
-                List.sort
-                  (fun (a, _) (b, _) -> compare a b)
-                  ((id, shard) :: !members);
-              let report =
-                Population.exchange ?weights:(plan_weights ())
-                  (Array.of_list (List.map (fun (_, s) -> Rank.pop s) !members))
-              in
-              comm_messages := !comm_messages + report.Population.messages;
-              comm_bytes := !comm_bytes + report.Population.bytes;
-              incr joins;
-              Metrics.inc (Metrics.counter "sup.joins");
-              Trace.instant
-                ~args:[ ("rank", string_of_int id) ]
-                "sup.join";
-              let m =
-                {
-                  m_gen = gen;
-                  m_kind = "join";
-                  m_rank = id;
-                  m_live = List.length !members;
-                  m_walkers_before = before;
-                  m_walkers_after = total_walkers ();
-                }
-              in
-              membership_log := m :: !membership_log;
-              emit_event (membership_json m)
-          | Leave r -> (
-              match List.assoc_opt r !members with
-              | None -> incr skipped
-              | Some _ when List.length !members <= 1 -> incr skipped
-              | Some shard ->
-                  let before = total_walkers () in
-                  let drained = Population.drain (Rank.pop shard) in
-                  let a, pr = Rank.move_totals shard in
-                  acc_extra := !acc_extra + a;
-                  prop_extra := !prop_extra + pr;
-                  let incarnation = (Rank.config shard).Rank.incarnation in
-                  Rank.shutdown_shard shard;
-                  members := List.remove_assoc r !members;
-                  Ledger.drop_rank ledger ~rank:r;
-                  Hashtbl.remove prev_prop r;
-                  vacant := r :: !vacant;
-                  Hashtbl.replace incarnations r (incarnation + 1);
-                  (match !members with
-                  | [] -> ()
-                  | (_, dst) :: _ ->
-                      List.iter
-                        (fun w ->
-                          incr comm_messages;
-                          comm_bytes := !comm_bytes + Walker.message_bytes w)
-                        drained;
-                      Population.absorb (Rank.pop dst) drained);
-                  incr leaves;
-                  Metrics.inc (Metrics.counter "sup.leaves");
-                  Trace.instant
-                    ~args:[ ("rank", string_of_int r) ]
-                    "sup.leave";
-                  let m =
-                    {
-                      m_gen = gen;
-                      m_kind = "leave";
-                      m_rank = r;
-                      m_live = List.length !members;
-                      m_walkers_before = before;
-                      m_walkers_after = total_walkers ();
-                    }
-                  in
-                  membership_log := m :: !membership_log;
-                  emit_event (membership_json m)))
-      p.membership;
-    let dt = Oqmc_containers.Timers.now () -. gen_t0 in
-    Metrics.observe m_gen_s dt;
-    gen_times := dt :: !gen_times;
-    absorb_timer_deltas prev_timers !members;
-    if gen mod ledger_emit_every = 0 then emit_event (ledger_event ~gen ledger);
-    fire_window p gen;
-    (* Drain/snapshot at the generation boundary: the [stop] poll ends
-       the job gracefully with consistent estimators, and the snapshot
-       cadence always covers the drain point and the final generation
-       so a suspended job never replays work. *)
-    if stop () then job_drained := true;
-    write_status ~force:(!job_drained || gen = total_gens) (fun () ->
-        Oqmc_obs.Jsonx.(Obj
-           [
-             ("gen", Num (float_of_int gen));
-             ("total_gens", Num (float_of_int total_gens));
-             ("e_gen", Num e_gen);
-             ("e_trial", Num !e_trial);
-             ("population", Num (float_of_int total));
-             ("live_ranks", Num (float_of_int (List.length !members)));
-             ( "walkers_per_s",
-               Num
-                 (if elapsed > 0. then float_of_int !samples /. elapsed
-                  else 0.) );
-             ("wall_s", Num elapsed);
-             ("ledger", Ledger.json ledger);
-             ("audit", audit_json ());
-           ]));
-    if
-      snapshot <> None
-      && (!job_drained || gen = total_gens || gen mod snapshot_every = 0)
-    then save_snap ~gen;
-    incr gen_ref
-  done;
-  let last_gen = !gen_ref - 1 in
-  let acc = ref !acc_extra and prop = ref !prop_extra in
-  List.iter
-    (fun (_, s) ->
-      let a, pr = Rank.move_totals s in
-      acc := !acc + a;
-      prop := !prop + pr)
-    !members;
-  let final_walkers =
-    List.concat_map (fun (_, s) -> Population.walkers (Rank.pop s)) !members
-  in
-  let job_result =
-    finalize ~p ~t0 ~energy_series ~pop_series:!pop_series
-      ~comm_messages:!comm_messages ~comm_bytes:!comm_bytes ~respawns:0
-      ~heartbeat_timeouts:0 ~garbage_frames:0 ~crashes:0 ~ranks_failed:[]
-      ~live_ranks:(List.length !members) ~degraded_generations:0 ~joins:!joins
-      ~leaves:!leaves ~stragglers:0 ~steals:0 ~membership_skipped:!skipped
-      ~membership_log:!membership_log ~gen_times:!gen_times ~acc:!acc
-      ~prop:!prop ~final_walkers ~final_e_trial:!e_trial
-  in
-  {
-    job_result;
-    gens_done = last_gen - start_gen;
-    drained = !job_drained && last_gen < total_gens;
-    resumed_from = start_gen;
-  }
-  with e ->
-    (* Abort unwind (SIGTERM/SIGINT via [Interrupted], or any fatal
-       error): dump the flight recorder before the sinks close, so the
-       postmortem carries the still-enabled trace spans. *)
-    let bt = Printexc.get_raw_backtrace () in
-    flight_dump p (Printexc.to_string e);
-    Printexc.raise_with_backtrace e bt
-
-let run_local ~(factory : int -> Engine_api.t) (p : params) : result =
-  (run_local_ext ~factory ~handle_signals:true
-     ~stop:(fun () -> false)
-     ~snapshot:None ~snapshot_every:1 p)
-    .job_result
-
-(* ---------- forked execution ---------- *)
-
-type proc = {
-  id : int;
-  mutable pid : int;
-  mutable r_fd : Unix.file_descr; (* supervisor reads rank output here *)
-  mutable w_fd : Unix.file_descr; (* supervisor writes commands here *)
-  mutable dead : bool; (* permanently abandoned *)
-  mutable fds_closed : bool; (* pipe ends already closed (torn down) *)
-  mutable incarnation : int;
-  mutable count : int; (* last known shard size *)
-  mutable begin_t : float; (* when this gen's Begin_gen was sent *)
-  mutable rtt_ewma : float; (* smoothed heartbeat RTT, seconds *)
-  mutable straggles : int; (* consecutive soft-deadline misses *)
+   The coordinator reaches its members only through these operations,
+   naming each member by rank id.  [spawn] on the id of a member that is
+   already down replaces it with the new incarnation; [kill] and
+   [finish] are idempotent. *)
+type transport = {
+  spawn : Rank.config -> (float * Walker.t list) option -> unit;
+      (* start a member (it greets with [Hello]); [Some (e_trial,
+         walkers)] restores its shard *)
+  send : int -> Wire.msg -> unit;
+  recv : int -> timeout:float -> Wire.msg * float;
+      (* the next frame and when it arrived.
+         @raise Wire.Closed / Wire.Timeout / Wire.Garbage *)
+  ready : int list -> timeout:float -> int list;
+      (* the members with a frame waiting, within [timeout] seconds *)
+  kill : int -> unit; (* tear a member down now *)
+  finish : int -> unit; (* release a member that answered [Finish] *)
+  close : unit -> unit; (* kill every member still up *)
 }
 
-(* Why the rank failed: drives the failure counters. *)
-type failure = Crash | Stall | Corrupt_stream
+(* ----- forked pipes ----- *)
+
+type pipe = {
+  pid : int;
+  r_fd : Unix.file_descr; (* supervisor reads rank output here *)
+  w_fd : Unix.file_descr; (* supervisor writes commands here *)
+  mutable up : bool; (* pipe ends still open *)
+}
 
 let startup_timeout (p : params) = Float.max 30. (10. *. p.heartbeat_s)
 
@@ -971,65 +501,192 @@ let fork_rank ~(factory : int -> Engine_api.t) ~cfg ~init ~all_fds =
   | pid ->
       close_fd rank_r;
       close_fd rank_w;
-      {
-        id = cfg.Rank.rank;
-        pid;
-        r_fd = sup_r;
-        w_fd = sup_w;
-        dead = false;
-        fds_closed = false;
-        incarnation = cfg.Rank.incarnation;
-        count = 0;
-        begin_t = 0.;
-        rtt_ewma = 0.;
-        straggles = 0;
-      }
+      { pid; r_fd = sup_r; w_fd = sup_w; up = true }
 
-let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
-  validate p;
-  (* Observability must attach BEFORE any fork so children inherit the
-     tracing-enabled flag; the supervisor's own spans carry pid -1,
-     rank blobs are ingested under their rank id at Final time. *)
-  let emit, emit_event, update_progress, obs_close = obs_setup p in
-  if Trace.enabled () then Trace.set_rank (-1);
+(* One forked process per member, framed [Wire] over a pipe pair.  A
+   crash surfaces as EOF ([Wire.Closed]), confirmed by the reap. *)
+let pipes ~factory () =
   let old_sigpipe = Sys.signal Sys.sigpipe Sys.Signal_ignore in
-  let saved_signals = install_signals () in
-  (* The member table: rank id → process.  Abandoned members stay in
-     the table (dead = true) until their slot is refilled by a Join,
-     which overwrites the entry with a fresh incarnation. *)
-  let members : (int, proc) Hashtbl.t = Hashtbl.create 16 in
-  let vacant = ref [] and next_id = ref p.ranks in
-  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let procs : (int, pipe) Hashtbl.t = Hashtbl.create 16 in
+  let get id = Hashtbl.find procs id in
   (* Every pipe end still OPEN in the supervisor: the set a fresh child
      must close.  Torn-down fds must be excluded — their numbers get
      reused by the very pipes the new child is being given. *)
   let all_fds () =
     Hashtbl.fold
-      (fun _ s acc -> if s.fds_closed then acc else s.r_fd :: s.w_fd :: acc)
-      members []
+      (fun _ s acc -> if s.up then s.r_fd :: s.w_fd :: acc else acc)
+      procs []
   in
+  let down collect id =
+    match Hashtbl.find_opt procs id with
+    | Some s when s.up ->
+        close_fd s.r_fd;
+        close_fd s.w_fd;
+        s.up <- false;
+        collect s.pid
+    | _ -> ()
+  in
+  {
+    spawn =
+      (fun cfg init ->
+        Hashtbl.replace procs cfg.Rank.rank
+          (fork_rank ~factory ~cfg ~init ~all_fds:(all_fds ())));
+    send = (fun id m -> Wire.send (get id).w_fd m);
+    recv =
+      (fun id ~timeout ->
+        let m = Wire.recv ~timeout (get id).r_fd in
+        (m, Timers.now ()));
+    ready =
+      (fun ids ~timeout ->
+        let fds = List.map (fun id -> (get id).r_fd) ids in
+        match Unix.select fds [] [] timeout with
+        | rs, _, _ -> List.filter (fun id -> List.mem (get id).r_fd rs) ids
+        | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _) -> []);
+    kill = down reap;
+    finish = down waitpid_robust;
+    close =
+      (fun () ->
+        Hashtbl.iter (fun id _ -> down reap id) procs;
+        Sys.set_signal Sys.sigpipe old_sigpipe);
+  }
+
+(* ----- in-process loopback ----- *)
+
+type slot = {
+  shard : Rank.shard;
+  inbox : (Wire.msg * float) Queue.t; (* replies, stamped when posted *)
+  mutable live : bool;
+}
+
+(* Shards in this process: [send] runs [Rank.handle] at once and queues
+   its replies, each stamped when posted, so a shard's Begin_gen→Reduce
+   span is its own sweep even though the shards run one after another.
+   Faults in [cfg.faults] are never armed.  [resume] (snapshot rank
+   states) restores each listed rank's RNG streams and move totals at
+   its first spawn.  Also returns the live shards, ascending by rank,
+   for snapshot capture. *)
+let loopback ~factory ~(resume : Snapshot.rank_state list) =
+  let slots : (int, slot) Hashtbl.t = Hashtbl.create 16 in
+  let pending = ref resume in
+  let post s m = Queue.push (m, Timers.now ()) s.inbox in
+  let down id =
+    match Hashtbl.find_opt slots id with
+    | Some s when s.live ->
+        s.live <- false;
+        Rank.shutdown_shard s.shard
+    | _ -> ()
+  in
+  let tp =
+    {
+      spawn =
+        (fun cfg init ->
+          let shard = Rank.create ~factory ~init cfg in
+          let mine, rest =
+            List.partition
+              (fun rs -> rs.Snapshot.r_rank = cfg.Rank.rank)
+              !pending
+          in
+          pending := rest;
+          List.iter
+            (fun (rs : Snapshot.rank_state) ->
+              Rank.set_rng_states shard (rs.r_master, rs.r_pool);
+              Rank.set_move_totals shard ~acc:rs.r_acc ~prop:rs.r_prop)
+            mine;
+          let s = { shard; inbox = Queue.create (); live = true } in
+          Hashtbl.replace slots cfg.Rank.rank s;
+          post s (Wire.Hello { rank = cfg.Rank.rank; pid = Unix.getpid () }));
+      send =
+        (fun id m ->
+          let s = Hashtbl.find slots id in
+          if not s.live then raise Wire.Closed;
+          (match m with
+          | Wire.Begin_gen { gen; _ } -> post s (Wire.Heartbeat { gen })
+          | _ -> ());
+          List.iter (post s) (Rank.handle s.shard m));
+      recv =
+        (fun id ~timeout:_ ->
+          let s = Hashtbl.find slots id in
+          match Queue.take_opt s.inbox with
+          | Some frame -> frame
+          | None -> raise (if s.live then Wire.Timeout else Wire.Closed));
+      ready =
+        (fun ids ~timeout:_ ->
+          List.filter
+            (fun id -> not (Queue.is_empty (Hashtbl.find slots id).inbox))
+            ids);
+      kill = down;
+      finish = down;
+      close = (fun () -> Hashtbl.iter (fun id _ -> down id) slots);
+    }
+  in
+  let shards () =
+    Hashtbl.fold
+      (fun id s acc -> if s.live then (id, s.shard) :: acc else acc)
+      slots []
+    |> List.sort (fun (a, _) (b, _) -> compare a b)
+  in
+  (tp, shards)
+
+(* ---------- the generation coordinator ---------- *)
+
+(* The coordinator's view of one member. *)
+type member = {
+  mutable dead : bool; (* permanently abandoned *)
+  incarnation : int;
+  mutable count : int; (* last known shard size *)
+  mutable begin_t : float; (* when this gen's Begin_gen was sent *)
+  mutable rtt_ewma : float; (* smoothed heartbeat RTT, seconds *)
+  mutable straggles : int; (* consecutive soft-deadline misses *)
+}
+
+(* Why the rank failed: drives the failure counters. *)
+type failure = Crash | Stall | Corrupt_stream
+
+(* Run one job over the transport [transport ()] (created after the
+   observability sinks, torn down on every exit path).  [resume] starts
+   from a job snapshot instead of fresh walkers or checkpoint shards;
+   [on_boundary] sees the run state at every generation boundary
+   ([last] at the drain point and the final generation). *)
+let coordinate ~transport ~handle_signals ~stop ?resume ?on_boundary
+    (p : params) : job_outcome =
+  validate p;
+  (* Observability must attach BEFORE any fork so children inherit the
+     tracing-enabled flag; spans recorded in this process carry pid -1,
+     a forked rank's ring is ingested under its rank id at Final time. *)
+  let emit, emit_event, update_progress, obs_close = obs_setup p in
+  if Trace.enabled () then Trace.set_rank (-1);
+  let tp = transport () in
+  let saved_signals = if handle_signals then install_signals () else [] in
   let cleanup () =
-    Hashtbl.iter
-      (fun _ s ->
-        if not s.fds_closed then begin
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid
-        end)
-      members;
-    Sys.set_signal Sys.sigpipe old_sigpipe;
+    tp.close ();
     restore_signals saved_signals;
     obs_close ()
   in
   Fun.protect ~finally:cleanup @@ fun () ->
   try
   let hb = p.heartbeat_s in
+  (* The member table: rank id → member.  Abandoned members stay in the
+     table (dead = true) until their slot is refilled by a Join, which
+     overwrites the entry with a fresh incarnation. *)
+  let members : (int, member) Hashtbl.t = Hashtbl.create 16 in
+  let vacant = ref [] and next_id = ref p.ranks in
+  let incarnations : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let spawn cfg init =
+    tp.spawn cfg init;
+    Hashtbl.replace members cfg.Rank.rank
+      {
+        dead = false;
+        incarnation = cfg.Rank.incarnation;
+        count = 0;
+        begin_t = 0.;
+        rtt_ewma = 0.;
+        straggles = 0;
+      }
+  in
   let respawns = ref 0 in
   let hb_timeouts = ref 0 and garbage_frames = ref 0 and crashes = ref 0 in
   let ranks_failed = ref [] in
   let degraded_generations = ref 0 in
-  let comm_messages = ref 0 and comm_bytes = ref 0 in
   let joins = ref 0 and leaves = ref 0 in
   let stragglers = ref 0 and steals = ref 0 in
   let skipped = ref 0 in
@@ -1037,35 +694,64 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   let gen_times = ref [] in
   let acc_left = ref 0 and prop_left = ref 0 in
   let energy_series = Stats.make_series () in
-  let pop_series = ref [] in
-  (* -------- spawn + initial ensemble -------- *)
-  let restore_init =
-    if not p.restore then None
-    else
-      match p.checkpoint with
-      | None -> None
-      | Some path -> (
-          match Checkpoint.latest_complete ~path ~ranks:p.ranks with
-          | None -> None
-          | Some gen ->
-              Some
-                (Array.init p.ranks (fun r ->
-                     Checkpoint.load_shard ~path ~rank:r ~gen)))
+  (* Per-rank proposed-move watermarks for the ledger ([Reduce] carries
+     cumulative totals; a respawn resets them, the delta clamps to 0),
+     and their sums for the per-generation acceptance. *)
+  let rank_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
+  let prev_acc = ref 0 and prev_prop = ref 0 in
+  (* -------- where the run starts -------- *)
+  (* A job snapshot restores the complete running state; a checkpoint
+     restore brings back the newest complete shard set's walkers only;
+     otherwise every rank builds fresh walkers on [Init]. *)
+  let pop_series = ref [] and samples = ref 0 in
+  let comm_messages = ref 0 and comm_bytes = ref 0 in
+  let start_gen, starts, e_trial0 =
+    match resume with
+    | Some ((st : Snapshot.state), shards) ->
+        Array.iter (Stats.append energy_series) st.energy;
+        pop_series := List.rev (Array.to_list st.pops);
+        samples := st.samples;
+        comm_messages := st.comm_messages;
+        comm_bytes := st.comm_bytes;
+        List.iter
+          (fun (rs : Snapshot.rank_state) ->
+            Hashtbl.replace rank_prop rs.r_rank rs.r_prop;
+            prev_acc := !prev_acc + rs.r_acc;
+            prev_prop := !prev_prop + rs.r_prop)
+          st.rank_states;
+        ( st.gen,
+          List.map
+            (fun (rs : Snapshot.rank_state) ->
+              (rs.r_rank, Some (st.e_trial, List.assoc rs.r_rank shards)))
+            st.rank_states,
+          Some st.e_trial )
+    | None ->
+        let restored =
+          match p.checkpoint with
+          | Some path when p.restore ->
+              Option.map
+                (fun gen ->
+                  Array.init p.ranks (fun r ->
+                      Checkpoint.load_shard ~path ~rank:r ~gen))
+                (Checkpoint.latest_complete ~path ~ranks:p.ranks)
+          | _ -> None
+        in
+        ( 0,
+          List.init p.ranks (fun r ->
+              (r, Option.map (fun shards -> shards.(r)) restored)),
+          Option.map (fun shards -> fst shards.(0)) restored )
   in
-  let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
-  for r = 0 to p.ranks - 1 do
-    let cfg = rank_config p ~rank:r ~incarnation:0 ~after:(-1) in
-    let init = Option.map (fun shards -> shards.(r)) restore_init in
-    let s = fork_rank ~factory ~cfg ~init ~all_fds:(all_fds ()) in
-    Hashtbl.replace members r s
-  done;
+  List.iter
+    (fun (r, init) ->
+      spawn (rank_config p ~rank:r ~incarnation:0 ~after:(-1)) init)
+    starts;
   let find r = Hashtbl.find_opt members r in
-  let proc r = Hashtbl.find members r in
+  let member r = Hashtbl.find members r in
   let live () =
     Hashtbl.fold (fun id s acc -> if s.dead then acc else id :: acc) members []
     |> List.sort compare
   in
-  (* Record a failure and tear the process down; respawn happens at the
+  (* Record a failure and tear the member down; respawn happens at the
      end of the generation so surviving ranks stay in lockstep. *)
   let failed_this_gen = ref [] in
   let cur_gen = ref 0 in
@@ -1094,10 +780,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                   ("incarnation", Num (float_of_int s.incarnation));
                 ]);
           flight_dump p ("rank_failed:" ^ reason);
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid;
+          tp.kill r;
           failed_this_gen := r :: !failed_this_gen
         end
   in
@@ -1111,7 +794,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   let guard r f =
     if not (ok_rank r) then None
     else
-      match f (proc r) with
+      match f () with
       | v -> Some v
       | exception Wire.Closed -> fail_rank r Crash; None
       | exception Wire.Timeout -> fail_rank r Stall; None
@@ -1119,57 +802,62 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
           fail_rank r Crash; None
   in
+  let send r m = ignore (guard r (fun () -> tp.send r m)) in
+  let recv r ~timeout = fst (tp.recv r ~timeout) in
   let recv_expect ?(timeout = hb) r match_ =
-    guard r (fun s ->
-        let m = Wire.recv ~timeout s.r_fd in
-        match match_ m with
+    guard r (fun () ->
+        match match_ (recv r ~timeout) with
         | Some v -> v
         | None -> raise (Wire.Garbage "unexpected frame"))
   in
   (* -------- handshake: Hello (+ Init reduce on fresh spawns) -------- *)
   let startup = startup_timeout p in
+  let await_hello r =
+    recv_expect ~timeout:startup r (function
+      | Wire.Hello _ -> Some ()
+      | _ -> None)
+  in
+  let await_init r =
+    recv_expect ~timeout:startup r (function
+      | Wire.Reduce { gen = 0; wsum; esum; n; _ } -> Some (wsum, esum, n)
+      | _ -> None)
+  in
+  List.iter (fun (r, _) -> ignore (await_hello r)) starts;
+  let counts = shard_counts ~target:p.target_walkers ~ranks:p.ranks in
+  List.iter
+    (fun (r, init) ->
+      match init with
+      | Some (_, ws) -> (member r).count <- List.length ws
+      | None -> send r (Wire.Init { count = counts.(r) }))
+    starts;
+  (* Global starting trial energy from the per-rank initial sums,
+     reduced in ascending rank order. *)
   let w0 = ref 0. and e0 = ref 0. in
-  for r = 0 to p.ranks - 1 do
-    ignore
-      (recv_expect ~timeout:startup r (function
-        | Wire.Hello _ -> Some ()
-        | _ -> None))
-  done;
-  (match restore_init with
-  | Some shards ->
-      Array.iteri (fun r (_, ws) -> (proc r).count <- List.length ws) shards
-  | None ->
-      for r = 0 to p.ranks - 1 do
-        ignore
-          (guard r (fun s -> Wire.send s.w_fd (Wire.Init { count = counts.(r) })))
-      done;
-      for r = 0 to p.ranks - 1 do
-        match
-          recv_expect ~timeout:startup r (function
-            | Wire.Reduce { gen = 0; wsum; esum; n; _ } -> Some (wsum, esum, n)
-            | _ -> None)
-        with
+  List.iter
+    (fun (r, init) ->
+      if Option.is_none init then
+        match await_init r with
         | Some (w, e, n) ->
             w0 := !w0 +. w;
             e0 := !e0 +. e;
-            (proc r).count <- n
-        | None -> ()
-      done);
+            (member r).count <- n
+        | None -> ())
+    starts;
   let e_trial =
     ref
-      (match restore_init with
-      | Some shards -> fst shards.(0)
+      (match e_trial0 with
+      | Some e -> e
       | None -> if !w0 > 0. then !e0 /. !w0 else 0.)
   in
   if !failed_this_gen <> [] then
     (* A rank that cannot even start is not worth respawning: fail fast
        rather than mask a broken factory. *)
     failwith "Supervisor: rank startup failed";
-  let t0 = Oqmc_containers.Timers.now () in
+  let t0 = Timers.now () in
   let total_gens = p.warmup + p.generations in
   let total_walkers () =
     List.fold_left
-      (fun a r -> if ok_rank r then a + (proc r).count else a)
+      (fun a r -> if ok_rank r then a + (member r).count else a)
       0 (live ())
   in
   (* Heartbeat RTT is measured supervisor-side — Begin_gen send to
@@ -1178,39 +866,33 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   let m_gen_s = Metrics.histogram "sup.generation_s" in
   let ledger = Ledger.create () in
   let write_status = status_writer p in
-  (* Per-rank proposed-move watermarks for the ledger ([Reduce] carries
-     cumulative totals; a respawn resets them, the delta clamps to 0). *)
-  let rank_prop : (int, int) Hashtbl.t = Hashtbl.create 8 in
-  let prev_acc = ref 0 and prev_prop = ref 0 in
-  let samples = ref 0 in
   let rtt_max = ref 0. in
   (* Phase 2 collector: heartbeat + reduce frames accepted in ARRIVAL
-     order over a select loop, each rank on its own hard deadline
-     (heartbeat_s per frame, as in lockstep).  Fast ranks are never
-     blocked behind a stalled sibling's timeout — the soak's barrier
-     softening — while the caller folds the results in ascending rank
-     order, keeping the float reduction bit-identical to [run_local].
-     Returns rank → (wsum, esum, acc, prop, n, kvs, arrival_time). *)
+     order, each rank on its own hard deadline (heartbeat_s per frame,
+     as in lockstep).  Fast ranks are never blocked behind a stalled
+     sibling's timeout, while the caller folds the results in ascending
+     rank order, so the float reduction does not depend on arrival
+     order.  Frames already waiting are taken before any deadline is
+     judged.  Returns rank → (wsum, esum, acc, prop, n, kvs, arrival). *)
   let collect_phase2 ~gen participants =
-    let now () = Oqmc_containers.Timers.now () in
     let stage : (int, [ `Hb | `Reduce ]) Hashtbl.t = Hashtbl.create 8 in
     let deadline : (int, float) Hashtbl.t = Hashtbl.create 8 in
     let results = Hashtbl.create 8 in
     List.iter
       (fun r ->
         Hashtbl.replace stage r `Hb;
-        Hashtbl.replace deadline r ((proc r).begin_t +. hb))
+        Hashtbl.replace deadline r ((member r).begin_t +. hb))
       participants;
     let pending () =
       List.filter
         (fun r -> ok_rank r && not (Hashtbl.mem results r))
         participants
     in
-    let handle r m =
-      let s = proc r in
+    let accept r m arrival =
+      let s = member r in
       match (Hashtbl.find stage r, m) with
       | `Hb, Wire.Heartbeat _ ->
-          let rtt = now () -. s.begin_t in
+          let rtt = arrival -. s.begin_t in
           Metrics.observe m_rtt rtt;
           rtt_max := Float.max !rtt_max rtt;
           s.rtt_ewma <-
@@ -1224,50 +906,37 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
               ]
             "sup.heartbeat";
           Hashtbl.replace stage r `Reduce;
-          Hashtbl.replace deadline r (now () +. hb)
+          Hashtbl.replace deadline r (Timers.now () +. hb)
       | `Reduce, Wire.Reduce { gen = g; wsum; esum; acc; prop; n; telemetry }
         when g = gen ->
           Hashtbl.replace results r
-            (wsum, esum, acc, prop, n, telemetry, now ())
+            (wsum, esum, acc, prop, n, telemetry, arrival)
       | _ -> fail_rank r Corrupt_stream
     in
     let rec loop () =
       match pending () with
       | [] -> ()
-      | ps -> (
-          let t = now () in
+      | ps ->
+          let t = Timers.now () in
+          let wait =
+            List.fold_left
+              (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
+              hb ps
+            |> Float.max 0.005
+          in
+          let readable = tp.ready ps ~timeout:wait in
+          List.iter
+            (fun r ->
+              if List.mem r readable then
+                match guard r (fun () -> tp.recv r ~timeout:hb) with
+                | Some (m, arrival) -> accept r m arrival
+                | None -> ())
+            ps;
+          let t = Timers.now () in
           List.iter
             (fun r -> if t > Hashtbl.find deadline r then fail_rank r Stall)
-            ps;
-          match pending () with
-          | [] -> ()
-          | ps ->
-              let fds = List.map (fun r -> (proc r).r_fd) ps in
-              let wait =
-                List.fold_left
-                  (fun a r -> Float.min a (Hashtbl.find deadline r -. t))
-                  hb ps
-                |> Float.max 0.005
-              in
-              let readable =
-                match Unix.select fds [] [] wait with
-                | rs, _, _ -> rs
-                | exception Unix.Unix_error ((Unix.EINTR | Unix.EBADF), _, _)
-                  ->
-                    []
-              in
-              List.iter
-                (fun r ->
-                  if
-                    ok_rank r
-                    && (not (Hashtbl.mem results r))
-                    && List.mem (proc r).r_fd readable
-                  then
-                    match guard r (fun s -> Wire.recv ~timeout:hb s.r_fd) with
-                    | Some m -> handle r m
-                    | None -> ())
-                ps;
-              loop ())
+            (pending ());
+          loop ()
     in
     loop ();
     results
@@ -1276,34 +945,35 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
      the communication volume; if the destination dies mid-relay the
      batch is rerouted to the first other healthy rank in [others]
      rather than lost. *)
+  let deliver ~gen dst walkers =
+    guard dst (fun () ->
+        tp.send dst (Wire.Walkers { gen; walkers });
+        (member dst).count <- (member dst).count + List.length walkers)
+  in
+  let count_comm walkers =
+    List.iter
+      (fun w ->
+        incr comm_messages;
+        comm_bytes := !comm_bytes + Walker.message_bytes w)
+      walkers
+  in
   let relay_move ~gen rs rd count ~others =
     match
-      guard rs (fun s ->
-          Wire.send s.w_fd (Wire.Give { gen; count });
-          match Wire.recv ~timeout:hb s.r_fd with
+      guard rs (fun () ->
+          tp.send rs (Wire.Give { gen; count });
+          match recv rs ~timeout:hb with
           | Wire.Walkers { walkers; _ } -> walkers
           | _ -> raise (Wire.Garbage "expected walker batch"))
     with
     | None -> ()
-    | Some walkers ->
-        (proc rs).count <- (proc rs).count - List.length walkers;
-        List.iter
-          (fun w ->
-            incr comm_messages;
-            comm_bytes := !comm_bytes + Walker.message_bytes w)
-          walkers;
-        let deliver rank =
-          guard rank (fun s ->
-              Wire.send s.w_fd (Wire.Walkers { gen; walkers });
-              s.count <- s.count + List.length walkers)
-        in
-        (match deliver rd with
+    | Some walkers -> (
+        (member rs).count <- (member rs).count - List.length walkers;
+        count_comm walkers;
+        match deliver ~gen rd walkers with
         | Some () -> ()
         | None -> (
-            match
-              List.find_opt (fun r -> ok_rank r && r <> rd) others
-            with
-            | Some alt -> ignore (deliver alt)
+            match List.find_opt (fun r -> ok_rank r && r <> rd) others with
+            | Some alt -> ignore (deliver ~gen alt walkers)
             | None -> ()))
   in
   (* Full load-balance exchange over [ids] (healthy subset), relayed in
@@ -1311,7 +981,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
      post-join rebalance and walker stealing. *)
   let relay_exchange ~gen ids =
     let ids = Array.of_list (List.filter ok_rank ids) in
-    let plan_counts = Array.map (fun r -> (proc r).count) ids in
+    let plan_counts = Array.map (fun r -> (member r).count) ids in
     let weights =
       match p.plan with
       | Count_level -> None
@@ -1326,6 +996,29 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           ~others:(Array.to_list ids))
       moves
   in
+  let ingest_trace r trace =
+    (* Merge a forked rank's span ring under its rank id, so the exported
+       timeline shows every process on its own track. *)
+    if trace <> "" then try Trace.ingest ~pid:r trace with Trace.Malformed -> ()
+  in
+  let vacate r ~incarnation =
+    vacant := r :: !vacant;
+    Hashtbl.replace incarnations r (incarnation + 1)
+  in
+  let log_member ~gen kind r ~before =
+    let m =
+      {
+        m_gen = gen;
+        m_kind = kind;
+        m_rank = r;
+        m_live = List.length (List.filter ok_rank (live ()));
+        m_walkers_before = before;
+        m_walkers_after = total_walkers ();
+      }
+    in
+    membership_log := m :: !membership_log;
+    emit_event (membership_json m)
+  in
   (* -------- elastic membership -------- *)
   let do_join ~gen =
     let before = total_walkers () in
@@ -1339,63 +1032,33 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
           incr next_id;
           (id, 0)
     in
-    let cfg = rank_config p ~rank:id ~incarnation ~after:gen in
-    let fresh = fork_rank ~factory ~cfg ~init:None ~all_fds:(all_fds ()) in
-    Hashtbl.replace members id fresh;
+    spawn (rank_config p ~rank:id ~incarnation ~after:gen) None;
     failed_this_gen := List.filter (fun x -> x <> id) !failed_this_gen;
     let ok =
-      match
-        recv_expect ~timeout:(startup_timeout p) id (function
-          | Wire.Hello _ -> Some ()
-          | _ -> None)
-      with
-      | None -> false
-      | Some () -> (
-          ignore
-            (guard id (fun s ->
-                 Wire.send s.w_fd (Wire.Join { gen; e_trial = !e_trial })));
-          match
-            recv_expect ~timeout:(startup_timeout p) id (function
-              | Wire.Ack { ok; _ } -> Some ok
-              | _ -> None)
-          with
-          | Some true -> true
-          | _ -> false)
+      await_hello id <> None
+      && begin
+           send id (Wire.Join { gen; e_trial = !e_trial });
+           recv_expect ~timeout:startup id (function
+             | Wire.Ack { ok; _ } -> Some ok
+             | _ -> None)
+           = Some true
+         end
     in
     if not ok then begin
       (* The joiner never came up: restore the vacancy (with a fresh
          incarnation so a retry gets its own RNG block) and move on —
          an elastic run must not die because a grow step failed. *)
-      (match find id with
-      | Some s when not s.fds_closed ->
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          reap s.pid
-      | _ -> ());
+      tp.kill id;
       Hashtbl.remove members id;
-      vacant := id :: !vacant;
-      Hashtbl.replace incarnations id (incarnation + 1);
+      vacate id ~incarnation;
       incr skipped
     end
     else begin
-      (proc id).count <- 0;
       relay_exchange ~gen (live ());
       incr joins;
       Metrics.inc (Metrics.counter "sup.joins");
       Trace.instant ~args:[ ("rank", string_of_int id) ] "sup.join";
-      let m =
-        {
-          m_gen = gen;
-          m_kind = "join";
-          m_rank = id;
-          m_live = List.length (List.filter ok_rank (live ()));
-          m_walkers_before = before;
-          m_walkers_after = total_walkers ();
-        }
-      in
-      membership_log := m :: !membership_log;
-      emit_event (membership_json m)
+      log_member ~gen "join" id ~before
     end
   in
   let do_leave ~gen r =
@@ -1406,86 +1069,58 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     end
     else begin
       let before = total_walkers () in
-      let s = proc r in
-      let incarnation = s.incarnation in
+      let incarnation = (member r).incarnation in
       let drained =
-        guard r (fun s ->
-            Wire.send s.w_fd (Wire.Drain { gen });
+        guard r (fun () ->
+            tp.send r (Wire.Drain { gen });
             let ws =
-              match Wire.recv ~timeout:hb s.r_fd with
+              match recv r ~timeout:hb with
               | Wire.Walkers { walkers; _ } -> walkers
               | _ -> raise (Wire.Garbage "expected drain batch")
             in
-            (match Wire.recv ~timeout:hb s.r_fd with
+            (match recv r ~timeout:hb with
             | Wire.Leave { count; _ } when count = List.length ws -> ()
             | _ -> raise (Wire.Garbage "drain count mismatch"));
-            Wire.send s.w_fd Wire.Finish;
-            (match Wire.recv ~timeout:(startup_timeout p) s.r_fd with
+            tp.send r Wire.Finish;
+            (match recv r ~timeout:startup with
             | Wire.Final { acc = a; prop = pr; trace; _ } ->
                 acc_left := !acc_left + a;
                 prop_left := !prop_left + pr;
-                if trace <> "" then (
-                  try Trace.ingest ~pid:r trace with Trace.Malformed -> ())
+                ingest_trace r trace
             | _ -> raise (Wire.Garbage "expected final"));
             ws)
       in
+      Hashtbl.remove members r;
+      vacate r ~incarnation;
       match drained with
       | None ->
-          (* The rank died mid-drain: [guard] already reaped it and its
-             shard walkers are gone until the next checkpoint salvage.
-             Record the slot as vacant so a later join can refill it. *)
-          Hashtbl.remove members r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (incarnation + 1);
+          (* The rank died mid-drain: [guard] already tore it down and
+             its shard walkers are gone until the next checkpoint
+             salvage.  Its slot is vacant for a later join to refill. *)
           incr skipped
       | Some ws ->
-          close_fd s.r_fd;
-          close_fd s.w_fd;
-          s.fds_closed <- true;
-          waitpid_robust s.pid;
-          Hashtbl.remove members r;
+          tp.finish r;
           Ledger.drop_rank ledger ~rank:r;
           Hashtbl.remove rank_prop r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (incarnation + 1);
           (match List.filter ok_rank (live ()) with
           | [] -> ()
           | dst :: _ ->
-              List.iter
-                (fun w ->
-                  incr comm_messages;
-                  comm_bytes := !comm_bytes + Walker.message_bytes w)
-                ws;
-              if ws <> [] then
-                ignore
-                  (guard dst (fun sd ->
-                       Wire.send sd.w_fd (Wire.Walkers { gen; walkers = ws });
-                       sd.count <- sd.count + List.length ws)));
+              count_comm ws;
+              if ws <> [] then ignore (deliver ~gen dst ws));
           incr leaves;
           Metrics.inc (Metrics.counter "sup.leaves");
           Trace.instant ~args:[ ("rank", string_of_int r) ] "sup.leave";
-          let m =
-            {
-              m_gen = gen;
-              m_kind = "leave";
-              m_rank = r;
-              m_live = List.length (List.filter ok_rank (live ()));
-              m_walkers_before = before;
-              m_walkers_after = total_walkers ();
-            }
-          in
-          membership_log := m :: !membership_log;
-          emit_event (membership_json m)
+          log_member ~gen "leave" r ~before
     end
   in
   (* -------- generation loop -------- *)
-  let gen_ref = ref 1 in
+  let gen_ref = ref (start_gen + 1) in
   let job_drained = ref false in
   while (not !job_drained) && !gen_ref <= total_gens do
     let gen = !gen_ref in
     Trace.with_span ~args:[ ("gen", string_of_int gen) ] "sup.generation"
     @@ fun () ->
-    let gen_t0 = Oqmc_containers.Timers.now () in
+    let gen_t0 = Timers.now () in
     cur_gen := gen;
     failed_this_gen := [];
     rtt_max := 0.;
@@ -1494,9 +1129,9 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     List.iter
       (fun r ->
         ignore
-          (guard r (fun s ->
-               s.begin_t <- Oqmc_containers.Timers.now ();
-               Wire.send s.w_fd (Wire.Begin_gen { gen; e_trial = !e_trial }))))
+          (guard r (fun () ->
+               (member r).begin_t <- Timers.now ();
+               tp.send r (Wire.Begin_gen { gen; e_trial = !e_trial }))))
       participants;
     (* Phase 2: arrival-order collection, ascending-order reduction. *)
     let arrivals = collect_phase2 ~gen participants in
@@ -1513,15 +1148,14 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
             acc_t := !acc_t + a;
             prop_t := !prop_t + pr;
             n_t := !n_t + n;
-            let s = proc r in
+            let s = member r in
             s.count <- n;
             Metrics.absorb_kvs
               (List.map
                  (fun (kind, key, value) -> { Metrics.kind; key; value })
                  kvs);
-            (* Ledger feed: supervisor-side generation wall (Begin_gen
-               send to Reduce arrival) over the rank's proposed-move
-               delta. *)
+            (* Ledger feed: the rank's generation wall (Begin_gen send to
+               Reduce arrival) over its proposed-move delta. *)
             let gen_time = arrival -. s.begin_t in
             let before =
               Option.value ~default:0 (Hashtbl.find_opt rank_prop r)
@@ -1576,9 +1210,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     prev_acc := !acc_t;
     prev_prop := !prop_t;
     (* Phase 3: branch, collect post-branch counts. *)
-    List.iter
-      (fun r -> ignore (guard r (fun s -> Wire.send s.w_fd (Wire.Branch { gen }))))
-      reduced;
+    List.iter (fun r -> send r (Wire.Branch { gen })) reduced;
     List.iter
       (fun r ->
         match
@@ -1586,7 +1218,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
             | Wire.Count { gen = g; n } when g = gen -> Some n
             | _ -> None)
         with
-        | Some n -> (proc r).count <- n
+        | Some n -> (member r).count <- n
         | None -> ())
       reduced;
     (* Phase 4: real load-balance exchange, relayed through the
@@ -1598,7 +1230,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     List.iter
       (fun r ->
         if ok_rank r then begin
-          let k = (proc r).count / 4 in
+          let k = (member r).count / 4 in
           let candidates =
             List.filter (fun x -> ok_rank x && x <> r) (live ())
           in
@@ -1608,7 +1240,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                 match best with
                 | None -> Some x
                 | Some b ->
-                    if (proc x).rtt_ewma < (proc b).rtt_ewma then Some x
+                    if (member x).rtt_ewma < (member b).rtt_ewma then Some x
                     else best)
               None candidates
           in
@@ -1631,7 +1263,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     (* Phase 5: global trial-energy feedback from the reduced counts. *)
     let total =
       List.fold_left
-        (fun a r -> if ok_rank r then a + (proc r).count else a)
+        (fun a r -> if ok_rank r then a + (member r).count else a)
         0 reduced
     in
     e_trial :=
@@ -1641,26 +1273,20 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
     (match p.checkpoint with
     | Some path when p.checkpoint_every > 0 && gen mod p.checkpoint_every = 0
       ->
-        let acked = ref [] in
+        let round = List.filter ok_rank reduced in
         List.iter
-          (fun r ->
-            ignore
-              (guard r (fun s ->
-                   Wire.send s.w_fd
-                     (Wire.Checkpoint_cmd { gen; e_trial = !e_trial }))))
-          (List.filter ok_rank reduced);
-        List.iter
-          (fun r ->
-            match
+          (fun r -> send r (Wire.Checkpoint_cmd { gen; e_trial = !e_trial }))
+          round;
+        let acked =
+          List.filter
+            (fun r ->
               recv_expect r (function
                 | Wire.Ack { gen = g; ok } when g = gen -> Some ok
                 | _ -> None)
-            with
-            | Some true -> acked := r :: !acked
-            | _ -> ())
-          (List.filter ok_rank reduced);
-        (try
-           Checkpoint.save_manifest ~path ~gen ~ranks:(List.rev !acked) ()
+              = Some true)
+            round
+        in
+        (try Checkpoint.save_manifest ~path ~gen ~ranks:acked ()
          with Sys_error _ -> ())
     | _ -> ());
     (* Phase 7: recovery — respawn this generation's casualties, or
@@ -1669,14 +1295,13 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
        fresh incarnation: degradation is reversible. *)
     List.iter
       (fun r ->
-        let s = proc r in
+        let s = member r in
         if s.incarnation >= p.max_respawn then begin
           s.dead <- true;
           ranks_failed := r :: !ranks_failed;
           Ledger.drop_rank ledger ~rank:r;
           Hashtbl.remove rank_prop r;
-          vacant := r :: !vacant;
-          Hashtbl.replace incarnations r (s.incarnation + 1);
+          vacate r ~incarnation:s.incarnation;
           Metrics.inc (Metrics.counter "sup.ranks_abandoned");
           Trace.instant
             ~args:
@@ -1696,22 +1321,14 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                 | exception Checkpoint.Corrupt _ -> [])
           in
           let survivors = List.filter ok_rank (live ()) in
-          match (salvaged, survivors) with
-          | [], _ | _, [] -> ()
-          | ws, survivors ->
-              let k = List.length survivors in
-              List.iteri
-                (fun i dst ->
-                    let mine =
-                      List.filteri (fun j _ -> j mod k = i) ws
-                    in
-                    if mine <> [] then
-                      ignore
-                        (guard dst (fun sd ->
-                             Wire.send sd.w_fd
-                               (Wire.Walkers { gen; walkers = mine });
-                             sd.count <- sd.count + List.length mine)))
-                survivors
+          let k = List.length survivors in
+          if salvaged <> [] then
+            List.iteri
+              (fun i dst ->
+                match List.filteri (fun j _ -> j mod k = i) salvaged with
+                | [] -> ()
+                | mine -> ignore (deliver ~gen dst mine))
+              survivors
         end
         else begin
           incr respawns;
@@ -1737,45 +1354,32 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
                 | _, restored -> Some restored
                 | exception Checkpoint.Corrupt _ -> None)
           in
-          let cfg = rank_config p ~rank:r ~incarnation ~after:gen in
-          let fresh = fork_rank ~factory ~cfg ~init ~all_fds:(all_fds ()) in
-          Hashtbl.replace members r fresh;
-          let startup = startup_timeout p in
+          spawn (rank_config p ~rank:r ~incarnation ~after:gen) init;
           failed_this_gen := List.filter (fun x -> x <> r) !failed_this_gen;
-          match
-            recv_expect ~timeout:startup r (function
-              | Wire.Hello _ -> Some ()
-              | _ -> None)
-          with
-          | None -> (proc r).dead <- true; ranks_failed := r :: !ranks_failed
+          let abandon () =
+            (member r).dead <- true;
+            ranks_failed := r :: !ranks_failed
+          in
+          match await_hello r with
+          | None -> abandon ()
           | Some () -> (
               match init with
-              | Some (_, ws) -> (proc r).count <- List.length ws
+              | Some (_, ws) -> (member r).count <- List.length ws
               | None -> (
                   (* No shard to restore: restart the rank from fresh
                      walkers at its ideal share of the target. *)
                   let want =
                     max 1 (p.target_walkers / max 1 (List.length (live ())))
                   in
-                  ignore
-                    (guard r (fun s2 ->
-                         Wire.send s2.w_fd (Wire.Init { count = want })));
-                  match
-                    recv_expect ~timeout:startup r (function
-                      | Wire.Reduce { gen = 0; n; _ } -> Some n
-                      | _ -> None)
-                  with
-                  | Some n -> (proc r).count <- n
-                  | None ->
-                      (proc r).dead <- true;
-                      ranks_failed := r :: !ranks_failed))
+                  send r (Wire.Init { count = want });
+                  match await_init r with
+                  | Some (_, _, n) -> (member r).count <- n
+                  | None -> abandon ()))
         end)
       (List.rev !failed_this_gen);
     if live () = [] then raise All_ranks_lost;
-    let elapsed = Oqmc_containers.Timers.now () -. t0 in
-    let acceptance =
-      float_of_int gen_acc /. float_of_int (max 1 gen_prop)
-    in
+    let elapsed = Timers.now () -. t0 in
+    let acceptance = float_of_int gen_acc /. float_of_int (max 1 gen_prop) in
     let walkers_per_s =
       if elapsed > 0. then float_of_int !samples /. elapsed else 0.
     in
@@ -1815,7 +1419,7 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
             | Join -> do_join ~gen
             | Leave r -> do_leave ~gen r)
         p.membership;
-    let dt = Oqmc_containers.Timers.now () -. gen_t0 in
+    let dt = Timers.now () -. gen_t0 in
     Metrics.observe m_gen_s dt;
     gen_times := dt :: !gen_times;
     if gen mod ledger_emit_every = 0 then emit_event (ledger_event ~gen ledger);
@@ -1825,7 +1429,8 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
        runs, so a deadline-stopped job reports consistent partial
        estimators instead of dying mid-protocol. *)
     if stop () then job_drained := true;
-    write_status ~force:(!job_drained || gen = total_gens) (fun () ->
+    let last = !job_drained || gen = total_gens in
+    write_status ~force:last (fun () ->
         Oqmc_obs.Jsonx.(Obj
            [
              ("gen", Num (float_of_int gen));
@@ -1839,6 +1444,23 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
              ("ledger", Ledger.json ledger);
              ("audit", audit_json ());
            ]));
+    Option.iter
+      (fun f ->
+        f ~gen ~last
+          {
+            Snapshot.gen;
+            seed = p.seed;
+            ranks = p.ranks;
+            target = p.target_walkers;
+            e_trial = !e_trial;
+            energy = Stats.to_array energy_series;
+            pops = Array.of_list (List.rev !pop_series);
+            samples = !samples;
+            comm_messages = !comm_messages;
+            comm_bytes = !comm_bytes;
+            rank_states = [];
+          })
+      on_boundary;
     incr gen_ref
   done;
   let last_gen = !gen_ref - 1 in
@@ -1849,9 +1471,9 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
   List.iter
     (fun r ->
       failed_this_gen := [];
-      ignore (guard r (fun s -> Wire.send s.w_fd Wire.Finish));
+      send r Wire.Finish;
       (match
-         recv_expect ~timeout:(startup_timeout p) r (function
+         recv_expect ~timeout:startup r (function
            | Wire.Final { acc = a; prop = pr; walkers; trace } ->
                Some (a, pr, walkers, trace)
            | _ -> None)
@@ -1859,65 +1481,130 @@ let run_ext ~(factory : int -> Engine_api.t) ~stop (p : params) : job_outcome =
       | Some (a, pr, walkers, trace) ->
           acc := !acc + a;
           prop := !prop + pr;
-          (* Merge the rank's span ring into the supervisor's trace
-             under the rank's id, so the exported timeline shows every
-             process on its own track. *)
-          (if trace <> "" then
-             try Trace.ingest ~pid:r trace with Trace.Malformed -> ());
+          ingest_trace r trace;
           final_walkers := !final_walkers @ walkers
       | None -> ());
-      let s = proc r in
-      if not s.fds_closed then begin
-        close_fd s.r_fd;
-        close_fd s.w_fd;
-        s.fds_closed <- true;
-        waitpid_robust s.pid;
-        s.dead <- true
-      end)
+      tp.finish r)
     (live ());
+  let pops = Array.of_list (List.rev !pop_series) in
   let job_result =
-    finalize ~p ~t0 ~energy_series ~pop_series:!pop_series
-      ~comm_messages:!comm_messages ~comm_bytes:!comm_bytes
-      ~respawns:!respawns ~heartbeat_timeouts:!hb_timeouts
-      ~garbage_frames:!garbage_frames ~crashes:!crashes
-      ~ranks_failed:!ranks_failed ~live_ranks:live_at_end
-      ~degraded_generations:!degraded_generations ~joins:!joins
-      ~leaves:!leaves ~stragglers:!stragglers ~steals:!steals
-      ~membership_skipped:!skipped ~membership_log:!membership_log
-      ~gen_times:!gen_times ~acc:!acc ~prop:!prop
-      ~final_walkers:!final_walkers ~final_e_trial:!e_trial
+    {
+      energy = Stats.series_mean energy_series;
+      energy_error = Stats.series_error energy_series;
+      variance = Stats.series_variance energy_series;
+      tau_corr = Stats.autocorrelation_time energy_series;
+      acceptance = float_of_int !acc /. float_of_int (max 1 !prop);
+      wall_time = Timers.now () -. t0;
+      mean_population =
+        (if Array.length pops = 0 then 0.
+         else
+           float_of_int (Array.fold_left ( + ) 0 pops)
+           /. float_of_int (Array.length pops));
+      energy_series = Stats.to_array energy_series;
+      population_series = pops;
+      comm_messages = !comm_messages;
+      comm_bytes = !comm_bytes;
+      respawns = !respawns;
+      heartbeat_timeouts = !hb_timeouts;
+      garbage_frames = !garbage_frames;
+      crashes = !crashes;
+      ranks_failed = List.sort compare !ranks_failed;
+      live_ranks = live_at_end;
+      degraded_generations = !degraded_generations;
+      joins = !joins;
+      leaves = !leaves;
+      stragglers = !stragglers;
+      steals = !steals;
+      membership_skipped = !skipped;
+      membership_log = List.rev !membership_log;
+      gen_p50_s = wall_percentile !gen_times 0.50;
+      gen_p99_s = wall_percentile !gen_times 0.99;
+      final_walkers = !final_walkers;
+      final_e_trial = !e_trial;
+    }
   in
   {
     job_result;
-    gens_done = last_gen;
+    gens_done = last_gen - start_gen;
     drained = !job_drained && last_gen < total_gens;
-    resumed_from = 0;
+    resumed_from = start_gen;
   }
   with e ->
     (* Abort unwind — [All_ranks_lost], [Interrupted], startup failure:
-       dump the flight recorder before [cleanup] closes the sinks. *)
+       dump the flight recorder before [cleanup] closes the sinks, so
+       the postmortem carries the still-enabled trace spans. *)
     let bt = Printexc.get_raw_backtrace () in
     flight_dump p (Printexc.to_string e);
     Printexc.raise_with_backtrace e bt
 
+(* ---------- entry points ---------- *)
+
+let never () = false
+
 let run ~(factory : int -> Engine_api.t) (p : params) : result =
-  (run_ext ~factory ~stop:(fun () -> false) p).job_result
+  (coordinate ~transport:(pipes ~factory) ~handle_signals:true ~stop:never p)
+    .job_result
 
-(* ---------- the reentrant per-job entry point ----------
+let run_local ~(factory : int -> Engine_api.t) (p : params) : result =
+  let tp, _ = loopback ~factory ~resume:[] in
+  (coordinate ~transport:(fun () -> tp) ~handle_signals:true ~stop:never p)
+    .job_result
 
-   What the serve daemon calls once per accepted job.  Unlike [run] and
+(* What the serve daemon calls once per accepted job.  Unlike [run] and
    [run_local] it NEVER installs signal handlers — the caller (a job
    runner process) owns its own signal policy and threads it through
    [stop] — and with [local = true] (the default) it can snapshot the
    full dynamical state every [snapshot_every] generations and resume
    bit-identically from the newest valid snapshot, which is how a
    crashed or suspended job continues without replaying work. *)
-let run_job ~(factory : int -> Engine_api.t) ?(local = true)
-    ?(stop = fun () -> false) ?snapshot ?(snapshot_every = 1) (p : params) :
-    job_outcome =
+let run_job ~(factory : int -> Engine_api.t) ?(local = true) ?(stop = never)
+    ?snapshot ?(snapshot_every = 1) (p : params) : job_outcome =
+  validate p;
   if snapshot <> None && not local then
     invalid_arg "Supervisor.run_job: snapshots require local execution";
-  if local then
-    run_local_ext ~factory ~handle_signals:false ~stop ~snapshot
-      ~snapshot_every p
-  else run_ext ~factory ~stop p
+  if snapshot <> None && p.membership <> [] then
+    invalid_arg "Supervisor: job snapshots require an empty membership plan";
+  if snapshot_every < 1 then invalid_arg "Supervisor: snapshot_every < 1";
+  if not local then
+    coordinate ~transport:(pipes ~factory) ~handle_signals:false ~stop p
+  else begin
+    (* A valid snapshot of THIS job (parameters echoed and matching)
+       resumes the run bit-identically; anything else starts fresh. *)
+    let resume =
+      match Option.bind snapshot (fun path -> Snapshot.load_latest ~path) with
+      | Some (st, _) as found
+        when st.Snapshot.seed = p.seed
+             && st.Snapshot.ranks = p.ranks
+             && st.Snapshot.target = p.target_walkers
+             && st.Snapshot.gen <= p.warmup + p.generations ->
+          found
+      | _ -> None
+    in
+    let tp, shards =
+      loopback ~factory
+        ~resume:(match resume with Some (st, _) -> st.rank_states | None -> [])
+    in
+    (* Snapshot the complete dynamical state — everything [resume]
+       restores — every [snapshot_every] generations, at the drain point
+       and at the end, so a suspended job never replays work.  IO
+       failures are swallowed: a snapshot that does not land only costs
+       resume granularity. *)
+    let on_boundary path ~gen ~last (st : Snapshot.state) =
+      if last || gen mod snapshot_every = 0 then
+        let live = shards () in
+        let rank_states =
+          List.map
+            (fun (r, s) ->
+              let r_master, r_pool = Rank.rng_states s
+              and r_acc, r_prop = Rank.move_totals s in
+              { Snapshot.r_rank = r; r_master; r_pool; r_acc; r_prop })
+            live
+        in
+        try
+          Snapshot.save ~path { st with rank_states }
+            (List.map (fun (r, s) -> (r, Population.walkers (Rank.pop s))) live)
+        with Sys_error _ | Checkpoint.Corrupt _ -> ()
+    in
+    coordinate ~transport:(fun () -> tp) ~handle_signals:false ~stop ?resume
+      ?on_boundary:(Option.map on_boundary snapshot) p
+  end

@@ -1,24 +1,29 @@
 open Oqmc_particle
 open Oqmc_core
 
-(** Supervised multi-rank DMC execution: a single-threaded supervisor
-    forks N worker rank processes, drives them through a deadline-
-    budgeted generation protocol ({!Wire}) with per-read heartbeat
-    deadlines, performs real walker exchange for load balance, and
-    recovers from rank crashes, stalls and corrupted streams by
-    respawning from per-rank checkpoint shards.
+(** Supervised multi-rank DMC execution: one generation coordinator
+    drives N member ranks through a deadline-budgeted generation
+    protocol ({!Wire}) with per-read heartbeat deadlines, performs real
+    walker exchange for load balance, and recovers from rank crashes,
+    stalls and corrupted streams by respawning from per-rank checkpoint
+    shards.  The rank side of every frame is {!Rank.handle}.
+
+    The coordinator runs over one of two transports: forked processes
+    over pipes ({!run}, [run_job ~local:false]) or an in-process
+    loopback that calls {!Rank.handle} directly ({!run_local},
+    [run_job ~local:true]).  The loopback never injects faults and sends
+    no real heartbeat; it is the only transport with job snapshots.
 
     The rank set is ELASTIC: a membership plan can grow it mid-run
-    (fork + [Join] + rebalance) and retire ranks gracefully ([Drain] →
-    shard ships to the survivors → reap).  Slots abandoned when the
+    (spawn + [Join] + rebalance) and retire ranks gracefully ([Drain] →
+    shard ships to the survivors → finish).  Slots abandoned when the
     respawn budget runs out become vacant and refillable by later
     joins, so degraded mode is reversible.  Ranks that blow the soft
     generation deadline are handled per {!straggler_policy}.
 
-    With zero injected faults and no membership events [run] is
-    bit-identical to {!run_local}, the in-process reference executor
-    over the same logical shards — and with a shared membership plan
-    the two stay bit-identical through every join and leave. *)
+    Because both transports run the same coordinator and handler, a
+    fault-free [run] is bit-identical to {!run_local}, with or without a
+    membership plan. *)
 
 type straggler_policy =
   | Warn  (** count + trace the straggler, nothing else *)
@@ -113,6 +118,11 @@ type params = {
 
 val default_params : params
 
+val validate : params -> unit
+(** Reject inconsistent parameters before any work starts; every entry
+    point below runs it first.
+    @raise Invalid_argument naming the offending field. *)
+
 (** One membership transition as it happened; [m_walkers_before =
     m_walkers_after] is the conservation invariant the chaos soak
     asserts. *)
@@ -173,15 +183,16 @@ val of_chaos :
     it drives. *)
 
 val run : factory:(int -> Engine_api.t) -> params -> result
-(** Forked execution.  The caller must not hold live OCaml domains
-    across this call (the supervisor forks).  @raise All_ranks_lost
-    when no rank survives, [Failure] when a rank fails during startup. *)
+(** The coordinator over forked rank processes.  The caller must not
+    hold live OCaml domains across this call (the supervisor forks).
+    @raise All_ranks_lost when no rank survives, [Failure] when a rank
+    fails during startup. *)
 
 val run_local : factory:(int -> Engine_api.t) -> params -> result
-(** In-process reference executor: the same rank-sharded algorithm over
-    logical shards — no fork, no pipes, including the elastic
-    membership plan.  The bit-identity oracle for [run], and the
-    single-process driver for rank-shaped runs. *)
+(** The same coordinator over the in-process loopback: no fork, no
+    pipes, including the elastic membership plan.  [faults] are never
+    armed.  The bit-identity oracle for [run], and the single-process
+    driver for rank-shaped runs. *)
 
 (** {1 Reentrant per-job execution (the serve layer's entry point)} *)
 
@@ -209,11 +220,11 @@ val run_job :
     and signal-neutral: unlike {!run}/{!run_local} it NEVER installs
     SIGTERM/SIGINT handlers — the caller owns its signal policy and
     threads shutdown through [stop], polled at every generation
-    boundary.  With [local = true] (default) the job executes on the
-    in-process reference path and, given [snapshot], persists its full
+    boundary.  With [local = true] (default) the job executes over the
+    in-process loopback and, given [snapshot], persists its full
     dynamical state every [snapshot_every] generations (plus at drain
     and completion) via {!Snapshot}, resuming bit-identically from the
     newest valid snapshot on the next call with the same parameters.
-    [local = false] uses the forked supervisor (no snapshot support).
+    [local = false] uses forked ranks (no snapshot support).
     @raise Invalid_argument for [snapshot] with [local = false], a
     snapshot with a non-empty membership plan, or [snapshot_every < 1]. *)

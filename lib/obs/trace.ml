@@ -198,8 +198,10 @@ let local_events () =
   Mutex.unlock registry_mutex;
   evs
 
+(* Within a lane, by start time; spans starting on the same clock tick
+   put the longer one first, so a parent always precedes its children. *)
 let by_lane a b =
-  compare (a.pid, a.tid, a.ts, a.ts +. a.dur) (b.pid, b.tid, b.ts, b.ts +. b.dur)
+  compare (a.pid, a.tid, a.ts, b.ts +. b.dur) (b.pid, b.tid, b.ts, a.ts +. a.dur)
 
 let events () = List.sort by_lane (local_events () @ !foreign)
 

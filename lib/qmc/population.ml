@@ -134,8 +134,8 @@ let load_balance t ~ranks =
    The primitives the multi-rank layer uses to actually *move* walkers
    between per-rank shard populations (each shard is a [t]), instead of
    the simulated accounting above.  Everything here is deterministic in
-   shard order, so the forked supervisor and the in-process reference
-   executor produce bit-identical trajectories. *)
+   shard order, so the supervisor's trajectories do not depend on its
+   transport. *)
 
 (* Remove and return the LAST [k] walkers (in their original order);
    the remainder keeps its order.  [k] is clamped to the shard size. *)

@@ -628,6 +628,68 @@ let test_forked_matches_local_bit_for_bit () =
    + forked.Supervisor.heartbeat_timeouts + forked.Supervisor.garbage_frames);
   check_int "no degraded generations" 0 forked.Supervisor.degraded_generations
 
+(* A job drained at generation k into a snapshot and then resumed with
+   the same parameters continues the uninterrupted trajectory exactly. *)
+let test_snapshot_resume_bit_identical () =
+  let dir = tmpdir () in
+  let snapshot = Filename.concat dir "job.snap" in
+  let reference = Supervisor.run_local ~factory base_params in
+  let k = 6 in
+  let polls = ref 0 in
+  let first =
+    Supervisor.run_job ~factory ~local:true
+      ~stop:(fun () ->
+        incr polls;
+        !polls >= k)
+      ~snapshot base_params
+  in
+  check_bool "first call drained" true first.Supervisor.drained;
+  check_int "drained at generation k" k first.Supervisor.gens_done;
+  let resumed = Supervisor.run_job ~factory ~local:true ~snapshot base_params in
+  check_int "resumed from generation k" k resumed.Supervisor.resumed_from;
+  check_bool "resumed job ran to completion" false resumed.Supervisor.drained;
+  let r = resumed.Supervisor.job_result in
+  check_bool "energy series bit-identical" true
+    (same_series reference.Supervisor.energy_series r.Supervisor.energy_series);
+  Alcotest.(check (array int))
+    "population series identical" reference.Supervisor.population_series
+    r.Supervisor.population_series;
+  check_bool "final e_trial bit-identical" true
+    (Int64.bits_of_float reference.Supervisor.final_e_trial
+    = Int64.bits_of_float r.Supervisor.final_e_trial)
+
+(* Both executors emit per-generation telemetry records with the same
+   documented key set. *)
+let test_telemetry_same_keys_both_executors () =
+  let module Jsonx = Oqmc_obs.Jsonx in
+  let dir = tmpdir () in
+  let record_keys run name =
+    let path = Filename.concat dir name in
+    ignore (run ~factory { base_params with Supervisor.telemetry = Some path });
+    let ic = open_in path in
+    let rec go acc =
+      match input_line ic with
+      | line -> (
+          match Jsonx.parse_string_exn line with
+          | Jsonx.Obj kvs when not (List.mem_assoc "event" kvs) ->
+              go (List.sort compare (List.map fst kvs) :: acc)
+          | _ -> go acc)
+      | exception End_of_file ->
+          close_in ic;
+          List.sort_uniq compare acc
+    in
+    go []
+  in
+  let local = record_keys Supervisor.run_local "local.jsonl" in
+  let forked = record_keys Supervisor.run "forked.jsonl" in
+  check_bool "generation records emitted" true (local <> []);
+  Alcotest.(check (list (list string))) "same key set" forked local;
+  List.iter
+    (fun key ->
+      check_bool ("documented key " ^ key) true
+        (List.for_all (List.mem key) local))
+    [ "live_ranks"; "acceptance"; "rtt_max_s"; "respawns" ]
+
 (* The acceptance scenario: 4 ranks, one SIGKILLed mid-run, recovered
    from its checkpoint shard; the run completes with finite estimators
    and the population under control. *)
@@ -805,6 +867,66 @@ let test_membership_forked_matches_local () =
   check_bool "local transitions conserve walkers" true (conservation_ok local);
   assert_healthy "membership-forked" forked
 
+(* Kernel time reaches the registry's [timer_us.*] counters from every
+   shard that swept, whatever membership does next: each incarnation
+   ships its own timer deltas, so a refilled slot starts from zero and a
+   retiring shard's last generation still counts.  At generation 6 the
+   only shard that swept (rank 0) leaves while a Join refills slot 1, so
+   that generation's growth comes from the retiring shard alone. *)
+let test_refilled_slot_reports_kernel_time () =
+  let module Metrics = Oqmc_obs.Metrics in
+  let timer_us () =
+    List.fold_left
+      (fun acc (name, v) ->
+        match v with
+        | Metrics.Counter c when String.starts_with ~prefix:"timer_us." name ->
+            acc + c
+        | _ -> acc)
+      0 (Metrics.snapshot ())
+  in
+  let p =
+    {
+      base_params with
+      Supervisor.ranks = 1;
+      target_walkers = 6;
+      warmup = 0;
+      generations = 10;
+      elastic = true;
+      membership =
+        [
+          (2, Supervisor.Join);
+          (4, Supervisor.Leave 1);
+          (6, Supervisor.Join);
+          (6, Supervisor.Leave 0);
+          (8, Supervisor.Join);
+        ];
+    }
+  in
+  let start = timer_us () in
+  let after_gen = ref [] in
+  let out =
+    Supervisor.run_job ~factory ~local:true
+      ~stop:(fun () ->
+        after_gen := timer_us () :: !after_gen;
+        false)
+      p
+  in
+  let r = out.Supervisor.job_result in
+  Alcotest.(check (list (pair string int)))
+    "join 1, leave 1, refill 1 + leave 0, refill 0"
+    [ ("join", 1); ("leave", 1); ("join", 1); ("leave", 0); ("join", 0) ]
+    (List.map
+       (fun m -> (m.Supervisor.m_kind, m.Supervisor.m_rank))
+       r.Supervisor.membership_log);
+  let totals = Array.of_list (start :: List.rev !after_gen) in
+  check_int "one sample per generation" 11 (Array.length totals);
+  for gen = 1 to 10 do
+    check_bool
+      (Printf.sprintf "timer_us.* grew in generation %d" gen)
+      true
+      (totals.(gen) > totals.(gen - 1))
+  done
+
 (* Degraded mode is reversible: a rank abandoned after its respawn
    budget runs out leaves a vacant slot a later Join refills. *)
 let test_drain_refill_degraded_reversible () =
@@ -895,6 +1017,50 @@ let test_chaos_plan_deterministic () =
   check_bool "membership waypoints precede nothing invalid" true
     (List.for_all (fun (g, _) -> g >= 1 && g < 60) s1)
 
+(* ---------- oqmc_run usage errors ---------- *)
+
+let oqmc_run_exe =
+  Filename.concat (Filename.dirname Sys.executable_name) "../bin/oqmc_run.exe"
+
+let run_cli args =
+  let out = Filename.temp_file "oqmc_cli" ".out"
+  and err = Filename.temp_file "oqmc_cli" ".err" in
+  let fd_out = Unix.openfile out [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600
+  and fd_err = Unix.openfile err [ Unix.O_WRONLY; Unix.O_TRUNC ] 0o600 in
+  let pid =
+    Unix.create_process oqmc_run_exe
+      (Array.of_list (oqmc_run_exe :: args))
+      Unix.stdin fd_out fd_err
+  in
+  Unix.close fd_out;
+  Unix.close fd_err;
+  let _, status = Unix.waitpid [] pid in
+  let read f = In_channel.with_open_bin f In_channel.input_all in
+  (status, read out, read err)
+
+(* Rejected supervisor parameters end the run before any work with one
+   [oqmc_run: <reason>] line on stderr and exit code 2. *)
+let test_cli_rejects_bad_supervisor_params () =
+  List.iter
+    (fun extra ->
+      let name = String.concat " " extra in
+      let status, out, err =
+        run_cli ([ "-m"; "dmc"; "-w"; "heg"; "-b"; "1"; "-s"; "2" ] @ extra)
+      in
+      check_bool (name ^ ": exit 2") true (status = Unix.WEXITED 2);
+      Alcotest.(check string) (name ^ ": nothing on stdout") "" out;
+      match String.split_on_char '\n' (String.trim err) with
+      | [ line ] ->
+          check_bool (name ^ ": one oqmc_run: line") true
+            (String.starts_with ~prefix:"oqmc_run: " line
+            && not (String.starts_with ~prefix:"oqmc_run: internal error" line))
+      | _ -> Alcotest.failf "%s: expected one stderr line, got %S" name err)
+    [
+      [ "--ranks"; "5"; "-n"; "4" ];
+      [ "--ranks"; "2"; "--gen-deadline-ms=-1" ];
+      [ "--ranks"; "2"; "--heartbeat-ms"; "0" ];
+    ]
+
 let () =
   Alcotest.run "dist"
     [
@@ -961,6 +1127,10 @@ let () =
             test_run_local_deterministic;
           Alcotest.test_case "forked == local, bit for bit" `Quick
             test_forked_matches_local_bit_for_bit;
+          Alcotest.test_case "snapshot drain + resume is bit-identical"
+            `Quick test_snapshot_resume_bit_identical;
+          Alcotest.test_case "telemetry keys match across executors" `Quick
+            test_telemetry_same_keys_both_executors;
           Alcotest.test_case "SIGKILL mid-run: shard recovery" `Quick
             test_kill_recovery_from_shard;
           Alcotest.test_case "stall trips the heartbeat" `Quick
@@ -980,6 +1150,8 @@ let () =
             `Quick test_elastic_forked_matches_local_no_events;
           Alcotest.test_case "join + leave: forked == local, bit for bit"
             `Quick test_membership_forked_matches_local;
+          Alcotest.test_case "refilled slot reports kernel time" `Quick
+            test_refilled_slot_reports_kernel_time;
           Alcotest.test_case "abandoned slot refilled by a later join" `Quick
             test_drain_refill_degraded_reversible;
           Alcotest.test_case "straggler policy: warn" `Quick
@@ -988,5 +1160,10 @@ let () =
             test_straggler_steal_sheds_walkers;
           Alcotest.test_case "chaos plans are deterministic" `Quick
             test_chaos_plan_deterministic;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "bad supervisor params: one line, exit 2" `Quick
+            test_cli_rejects_bad_supervisor_params;
         ] );
     ]
