@@ -11,8 +11,8 @@ open Oqmc_wavefunction
    Four measurements, printed as a table and optionally written as JSON
    (BENCH_crowd.json) so regressions are diffable across PRs:
 
-   1. full PbP sweep: the SPO-only staged crowd path (pipeline:false,
-      the PR2 behaviour) vs. the fully batched pipeline, with the
+   1. full PbP sweep: the scalar per-engine sweep (the oracle, one
+      engine per walker) vs. the fully batched crowd pipeline, with the
       bit-identity of the two paths asserted on each slot's local
       energy;
    2. per-kernel ns/move: scalar per-slot calls vs. the batched kernel,
@@ -46,54 +46,65 @@ let minor_words_per ~reps f =
   done;
   (Gc.minor_words () -. w0) /. float_of_int reps
 
-(* ---- 1. full PbP sweep: staged (SPO-only) vs full pipeline ---- *)
+(* ---- 1. full PbP sweep: scalar per-engine sweeps vs full pipeline ---- *)
 
 type sweep_point = {
   system : string;
   crowd : int;
   moves_per_sweep : int;
-  staged_ns_per_move : float;
+  scalar_ns_per_move : float;
   pipeline_ns_per_move : float;
   speedup : float;
 }
 
 let bench_sweep ~name ~sys ~crowd ~sweeps =
   let factory = Build.factory ~variant:Variant.Current ~seed:5 sys in
-  let run ~pipeline =
-    let cr = Crowd.create ~pipeline ~factory ~base:0 ~size:crowd () in
-    if pipeline && not (Crowd.pipelined cr) then
-      failwith "crowd_bench: pipeline did not engage";
+  (* Both paths start from the same engines and configurations and draw
+     from the same per-walker streams. *)
+  let engines_and_streams engine =
     let rngs = Xoshiro.streams ~seed:7 crowd in
     for s = 0 to crowd - 1 do
-      (Crowd.engine cr s).Engine_api.randomize rngs.(s)
+      (engine s).Engine_api.randomize rngs.(s)
     done;
-    let srngs = Xoshiro.streams ~seed:11 crowd in
-    let sweep () =
-      ignore (Crowd.sweep cr ~active:crowd ~rng:(fun s -> srngs.(s)) ~tau:0.1)
-    in
+    Xoshiro.streams ~seed:11 crowd
+  in
+  let timed ~engine sweep =
     sweep ();
     (* warmup *)
     let t = time_per ~reps:sweeps sweep in
-    let fp =
-      Array.init crowd (fun s -> (Crowd.engine cr s).Engine_api.measure ())
-    in
-    (t, fp)
+    (t, Array.init crowd (fun s -> (engine s).Engine_api.measure ()))
   in
-  let ts, fs = run ~pipeline:false in
-  let tp, fp = run ~pipeline:true in
+  let ts, fs =
+    let engines = Array.init crowd factory in
+    let engine s = engines.(s) in
+    let srngs = engines_and_streams engine in
+    timed ~engine (fun () ->
+        Array.iteri
+          (fun s e -> ignore (e.Engine_api.sweep srngs.(s) ~tau:0.1))
+          engines)
+  in
+  let tp, fp =
+    let cr = Crowd.create ~factory ~base:0 ~size:crowd () in
+    if not (Crowd.pipelined cr) then
+      failwith "crowd_bench: pipeline did not engage";
+    let engine = Crowd.engine cr in
+    let srngs = engines_and_streams engine in
+    timed ~engine (fun () ->
+        ignore
+          (Crowd.sweep cr ~active:crowd ~rng:(fun s -> srngs.(s)) ~tau:0.1))
+  in
   (* same seeds, same draw order: the two paths must agree bit-for-bit *)
   Array.iteri
     (fun i a ->
       if not (Float.equal a fp.(i)) then
-        failwith "crowd_bench: pipeline sweep deviates from staged path")
+        failwith "crowd_bench: pipeline sweep deviates from the scalar sweep")
     fs;
-  let e0 = Build.engine ~variant:Variant.Current ~seed:5 sys in
-  let moves = crowd * e0.Engine_api.n_electrons in
+  let moves = crowd * (factory 0).Engine_api.n_electrons in
   {
     system = name;
     crowd;
     moves_per_sweep = moves;
-    staged_ns_per_move = ts *. 1e9 /. float_of_int moves;
+    scalar_ns_per_move = ts *. 1e9 /. float_of_int moves;
     pipeline_ns_per_move = tp *. 1e9 /. float_of_int moves;
     speedup = ts /. tp;
   }
@@ -342,9 +353,9 @@ let json_of ~sweeps ~kernels ~delays =
     (fun i p ->
       f b
         "    {\"system\": %S, \"crowd\": %d, \"moves_per_sweep\": %d, \
-         \"staged_ns_per_move\": %.1f, \"pipeline_ns_per_move\": %.1f, \
+         \"scalar_ns_per_move\": %.1f, \"pipeline_ns_per_move\": %.1f, \
          \"speedup\": %.3f}%s\n"
-        p.system p.crowd p.moves_per_sweep p.staged_ns_per_move
+        p.system p.crowd p.moves_per_sweep p.scalar_ns_per_move
         p.pipeline_ns_per_move p.speedup
         (if i = List.length sweeps - 1 then "" else ","))
     sweeps;
@@ -373,16 +384,16 @@ let json_of ~sweeps ~kernels ~delays =
   Buffer.contents b
 
 let run ?json () =
-  Printf.printf "== full PbP sweep: staged (SPO-only) vs pipeline ==\n%!";
+  Printf.printf "== full PbP sweep: scalar per-engine vs pipeline ==\n%!";
   let sweeps = bench_sweeps () in
   (* ns/move always %.1f, words/move always %.2f — same precisions as
      the JSON record, so console and BENCH file never disagree. *)
   List.iter
     (fun p ->
       Printf.printf
-        "  %-12s crowd %2d: staged %.1f ns/move, pipeline %.1f ns/move  \
+        "  %-12s crowd %2d: scalar %.1f ns/move, pipeline %.1f ns/move  \
          (%.2fx)\n"
-        p.system p.crowd p.staged_ns_per_move p.pipeline_ns_per_move
+        p.system p.crowd p.scalar_ns_per_move p.pipeline_ns_per_move
         p.speedup)
     sweeps;
   Printf.printf "== per-kernel scalar vs batched ==\n%!";
@@ -413,7 +424,7 @@ let run ?json () =
       Printf.printf "wrote %s\n%!" path
 
 (* Reduced run for the @bench-smoke alias: keeps every assertion — the
-   pipeline-vs-staged trajectory identity of [bench_sweep], the
+   pipeline-vs-scalar trajectory identity of [bench_sweep], the
    per-kernel zero-allocation failwiths of [bench_kernels], and the
    delayed-update regression guard — at a fraction of the reps, and
    skips the NiO build.  Timing numbers from this mode are noise except
@@ -424,7 +435,7 @@ let smoke () =
       ~sys:(Oqmc_workloads.Validation.harmonic ~n:6 ~omega:1.0)
       ~crowd:8 ~sweeps:40
   in
-  Printf.printf "crowd smoke: %s pipeline bit-identical to staged path\n"
+  Printf.printf "crowd smoke: %s pipeline bit-identical to scalar sweeps\n"
     p.system;
   let kernels = bench_kernels ~reps:2_000 () in
   List.iter

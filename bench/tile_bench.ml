@@ -7,20 +7,21 @@ module Spo = Oqmc_wavefunction.Spo
 
 (* Tiled-orbital-layout benchmark (BENCH_tile.json): batched Bspline-vgh
    throughput of the tiled (array-of-SoA) table across the tile sweep vs
-   the flat baseline, at NiO-32 and graphite orbital orders.
+   the flat baseline — the one-tile table, which runs the same kernel —
+   at NiO-32 and graphite orbital orders.
 
    Three measurements, printed as a table and written as JSON so the
    layout's perf trajectory is diffable across PRs:
 
    1. tile sweep: ns/eval of the crowd-batched vgl path at tile in
-      {8, 16, 32, 64, n_orb} against the flat table, per workload —
-      both layouts hold byte-identical coefficients, so any delta is
+      {8, 16, 32, 64, n_orb} against the one-tile table, per workload —
+      every tile size holds byte-identical coefficients, so any delta is
       pure memory behaviour;
-   2. allocation per eval: the batched tiled kernels must move ZERO
-      words per eval, like the flat ones — asserted, not just reported;
+   2. allocation per eval: the batched kernels must move ZERO words per
+      eval at every tile size — asserted, not just reported;
    3. autotuned tile vs flat: the tuner's measured-refined tile pick on
-      NiO-32 must not lose to the flat baseline beyond a noise margin
-      (the @tile-smoke gate). *)
+      NiO-32 must not lose to the one-tile baseline beyond a noise
+      margin (the @tile-smoke gate). *)
 
 let n_pos = 4096
 
@@ -65,7 +66,7 @@ let vgl_ns_and_words (sys : System.t) ~reps =
   ( dt *. 1e9 /. float_of_int (calls * crowd),
     dw /. float_of_int (calls * crowd) )
 
-type point = { tile : int; (* 0 = flat *) ns_per_eval : float }
+type point = { tile : int; (* 0 = flat (one tile) *) ns_per_eval : float }
 
 type system_sweep = {
   sname : string;
@@ -80,7 +81,7 @@ let reduction () =
   | Some r -> int_of_string r
   | None -> 8
 
-(* The batched tiled kernels must be allocation-free like the flat ones:
+(* The batched kernels must be allocation-free at every tile size:
    words/eval is measured on every sweep point and a hard failure, not a
    report line.  The threshold is below one word/eval so a single boxed
    float per eval trips it, while the constant measurement overhead (the
@@ -105,19 +106,32 @@ let sweep ~name ~spec =
     List.sort_uniq compare
       (List.filter (fun t -> t > 0 && t <= n_orb) [ 8; 16; 32; 64; n_orb ])
   in
-  let flat_ns, flat_w = vgl_ns_and_words sys_flat ~reps in
-  assert_no_alloc ~name ~tile:0 flat_w;
+  (* Every point is timed in alternation with the others, best of three
+     rounds, so the host's load phases (and the first run's warm-up)
+     do not land on one layout; every round asserts zero allocation. *)
+  let systems =
+    (0, sys_flat) :: List.map (fun tile -> (tile, mk ~layout:`Tiled ~tile)) tiles
+  in
+  let best_ns = List.map (fun (tile, _) -> (tile, ref infinity)) systems in
+  for _ = 1 to 3 do
+    List.iter
+      (fun (tile, sys) ->
+        let ns, w = vgl_ns_and_words sys ~reps in
+        assert_no_alloc ~name ~tile w;
+        let b = List.assoc tile best_ns in
+        b := Float.min !b ns)
+      systems
+  done;
+  let flat_ns = !(List.assoc 0 best_ns) in
   Printf.printf "  %s (n_orb=%d): flat %.1f ns/eval\n%!" name n_orb flat_ns;
   let points =
-    { tile = 0; ns_per_eval = flat_ns }
-    :: List.map
-         (fun tile ->
-           let ns, w = vgl_ns_and_words (mk ~layout:`Tiled ~tile) ~reps in
-           assert_no_alloc ~name ~tile w;
-           Printf.printf "    tile %3d: %.1f ns/eval  (%.2fx vs flat)\n%!"
-             tile ns (flat_ns /. ns);
-           { tile; ns_per_eval = ns })
-         tiles
+    List.map
+      (fun (tile, b) ->
+        if tile > 0 then
+          Printf.printf "    tile %3d: %.1f ns/eval  (%.2fx vs flat)\n%!" tile
+            !b (flat_ns /. !b);
+        { tile; ns_per_eval = !b })
+      best_ns
   in
   let best =
     List.fold_left
@@ -157,17 +171,24 @@ let bench_autotuned ?(margin = 1.05) () =
       ~precision:`F32 ~sys:sys_flat ()
   in
   Printf.printf "  %s\n%!" (Tuner.describe choice);
+  (* The tuner's pick; flat (0) is the one-tile table, timed as a
+     second table against the baseline. *)
   let atile =
     let t = choice.Tuner.knobs.Tuner.tile in
-    if t > 0 then t else min 32 n_orb
+    if t > 0 then t else n_orb
   in
   let reps = 20_000 in
-  let best2 sys =
-    let a, _ = vgl_ns_and_words sys ~reps and b, _ = vgl_ns_and_words sys ~reps in
-    Float.min a b
-  in
-  let flat_ns = best2 sys_flat in
-  let tiled_ns = best2 (mk ~layout:`Tiled ~tile:atile) in
+  (* The two layouts are timed in alternation, best of five rounds each:
+     a load phase of a shared host then hits both alike instead of
+     whichever was being timed, while a real slowdown of the tuned tile
+     still shows in its best time. *)
+  let sys_tiled = mk ~layout:`Tiled ~tile:atile in
+  let flat_ns = ref infinity and tiled_ns = ref infinity in
+  for _ = 1 to 5 do
+    flat_ns := Float.min !flat_ns (fst (vgl_ns_and_words sys_flat ~reps));
+    tiled_ns := Float.min !tiled_ns (fst (vgl_ns_and_words sys_tiled ~reps))
+  done;
+  let flat_ns = !flat_ns and tiled_ns = !tiled_ns in
   Printf.printf
     "  autotuned tile %d: %.1f ns/eval vs flat %.1f ns/eval  (%.2fx)\n%!"
     atile tiled_ns flat_ns (flat_ns /. tiled_ns);
@@ -244,8 +265,9 @@ let run ?json () =
       Printf.printf "wrote %s\n%!" path
 
 (* Fast CI gate for the @tile-smoke alias: one workload's sweep for the
-   zero-allocation assertion, plus the autotuned-tile-vs-flat check at a
-   5% noise margin.  Fails loudly rather than reporting softly. *)
+   zero-allocation assertion, plus the autotuned-tile-vs-flat check
+   against the one-tile table at a 5% noise margin.  Fails loudly rather
+   than reporting softly. *)
 let smoke () =
   Printf.printf "tile smoke: NiO-32 sweep + autotuned tile vs flat\n%!";
   let s = sweep ~name:"NiO-32" ~spec:Oqmc_workloads.Spec.nio32 in

@@ -39,14 +39,17 @@ let make_system name reduction with_nlpp precision layout tile seed =
       Builder.make ~seed ~with_nlpp ~reduction ~precision:table_prec ~layout
         ~tile (Spec.find name)
 
+(* Bad command-line input is a usage error: one line, exit 2, before
+   any work starts. *)
+let usage msg =
+  prerr_endline ("oqmc_run: " ^ msg);
+  exit 2
+
 let parse_precision_for flag = function
   | "" | "default" -> None
   | "f32" | "single" -> Some `F32
   | "f64" | "double" -> Some `F64
-  | other ->
-      invalid_arg
-        (Printf.sprintf "oqmc_run: --%s must be f32 or f64, got %S" flag
-           other)
+  | other -> usage (Printf.sprintf "--%s must be f32 or f64, got %S" flag other)
 
 let parse_precision = parse_precision_for "precision"
 
@@ -54,10 +57,24 @@ let parse_layout = function
   | "" | "default" -> None
   | "flat" -> Some `Flat
   | "tiled" -> Some `Tiled
-  | other ->
-      invalid_arg
-        (Printf.sprintf "oqmc_run: --layout must be flat or tiled, got %S"
-           other)
+  | other -> usage (Printf.sprintf "--layout must be flat or tiled, got %S" other)
+
+let parse_variant v =
+  try Variant.of_string v
+  with Invalid_argument _ ->
+    usage
+      (Printf.sprintf "--variant must be Ref, Ref+MP, Current or Current(f64), got %S" v)
+
+let check_workload name =
+  match String.lowercase_ascii name with
+  | "harmonic" | "hydrogen" | "heg" -> ()
+  | _ -> (
+      try ignore (Spec.find name)
+      with Invalid_argument _ ->
+        usage
+          (Printf.sprintf "unknown workload %S (harmonic, hydrogen, heg, %s)"
+             name
+             (String.concat ", " (List.map (fun s -> s.Spec.wname) Spec.all))))
 
 let run input method_ workload variant reduction walkers blocks steps tau
     domains crowd delay precision precision_dt precision_jastrow
@@ -74,7 +91,7 @@ let run input method_ workload variant reduction walkers blocks steps tau
         {
           Input.method_ = String.lowercase_ascii method_;
           workload;
-          variant = Variant.of_string variant;
+          variant = parse_variant variant;
           reduction;
           walkers;
           blocks;
@@ -141,11 +158,11 @@ let run input method_ workload variant reduction walkers blocks steps tau
   let max_respawn = cfg.Input.max_respawn in
   let elastic = cfg.Input.elastic in
   let gen_deadline_ms = cfg.Input.gen_deadline_ms in
-  (* Bad supervisor input is a usage error: one line, exit 2. *)
-  let usage msg =
-    prerr_endline ("oqmc_run: " ^ msg);
-    exit 2
-  in
+  check_workload workload;
+  if walkers < 1 then usage "--walkers must be >= 1";
+  if crowd < 1 then usage "--crowd must be >= 1";
+  if delay < 1 then usage "--delay must be >= 1";
+  if tile < 0 then usage "--tile must be >= 0";
   let straggler_policy =
     match
       Oqmc_dist.Supervisor.straggler_policy_of_string
@@ -198,8 +215,6 @@ let run input method_ workload variant reduction walkers blocks steps tau
      try Oqmc_dist.Supervisor.validate sup_params
      with Invalid_argument msg -> usage msg);
   let sys = make_system workload reduction with_nlpp precision layout tile seed in
-  if delay < 1 then invalid_arg "oqmc_run: --delay must be >= 1";
-  if tile < 0 then invalid_arg "oqmc_run: --tile must be >= 0";
   (* Effective working precision: explicit override beats the variant's
      default. *)
   let eff_precision =

@@ -109,26 +109,6 @@ let registry_kernel_seconds snap =
       | _ -> None)
     snap
 
-(* The tiled B-spline engines charge their own timer keys
-   ([Bspline-v-tiled] / [Bspline-vgh-tiled]); fold those into the base
-   kernel names so the [frac.<kernel>] gauges and the verdict table stay
-   comparable across layouts without new call sites. *)
-let fold_tiled kernel_s =
-  let suffix = "-tiled" in
-  let base name =
-    let ln = String.length name and ls = String.length suffix in
-    if ln > ls && String.sub name (ln - ls) ls = suffix then
-      String.sub name 0 (ln - ls)
-    else name
-  in
-  List.fold_left
-    (fun acc (k, s) ->
-      let k = base k in
-      match List.assoc_opt k acc with
-      | Some prev -> (k, prev +. s) :: List.remove_assoc k acc
-      | None -> (k, s) :: acc)
-    [] kernel_s
-
 let observe ?measured_gen_s ?kernel_seconds t =
   let snap = Mx.snapshot () in
   let measured =
@@ -144,10 +124,9 @@ let observe ?measured_gen_s ?kernel_seconds t =
   | None -> None
   | Some (measured_gen_s, gens) ->
       let kernel_s =
-        fold_tiled
-          (match kernel_seconds with
-          | Some ks -> ks
-          | None -> registry_kernel_seconds snap)
+        match kernel_seconds with
+        | Some ks -> ks
+        | None -> registry_kernel_seconds snap
       in
       let total_kernel_s =
         List.fold_left (fun a (_, s) -> a +. s) 0. kernel_s

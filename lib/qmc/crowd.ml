@@ -5,35 +5,29 @@ open Oqmc_rng
    hierarchical-parallelism layer of Luo et al. 2022 on top of the
    paper's walker-per-thread design.  One crowd lives inside one domain:
    it owns [size] engines (one mutable engine state per resident walker)
-   and a single batched SPO context, and advances every walker through
-   electron k together.
+   and advances every walker through electron k together.
 
-   Two sweep paths share the driver:
+   There is one batched move path, the full pipeline: when every engine
+   publishes a matching crowd hook, EVERY move kernel is batched —
+   distance-table rows, one-/two-body Jastrow rows, determinant ratio
+   dots and inverse updates each run as one fused call per crowd per
+   stage, on top of the two batched SPO evaluations.  A crowd whose
+   engines decline the hook (the Store/Ref layout has no batched table
+   kernels) runs each slot's scalar [Engine_api.sweep] in turn, as the
+   paper's baseline did.
 
-   - the full pipeline (default, when every engine publishes a matching
-     crowd hook): EVERY move kernel is batched — distance-table rows,
-     one-/two-body Jastrow rows, determinant ratio dots and inverse
-     updates each run as one fused call per crowd per stage, on top of
-     the two batched SPO evaluations;
+   Both paths apply the one move rule ([Engine_api.Move]) with the same
+   per-walker RNG draw order (gaussian at k, then uniform at k), so
+   crowd trajectories on the double-precision path are bit-identical to
+   the scalar reference. *)
 
-   - the staged fallback (PR 2 behavior, [pipeline:false] or a declined
-     hook): only the SPO evaluations are batched, and each engine runs
-     its scalar per-walker stages around them.
-
-   Per walker the arithmetic and RNG draw order are identical to
-   [Engine_api.sweep] (gaussian at k, then uniform at k), so crowd
-   trajectories on the double-precision path are bit-identical to the
-   scalar reference on BOTH paths. *)
-
-type t = {
-  engines : Engine_api.t array;
+type pipe = {
+  stages : Engine_api.crowd_stage;
   batch : Oqmc_wavefunction.Spo.vgl_batch;
-  stages : Engine_api.crowd_stage option;
   pos : Vec3.t array; (* current positions of electron k, per slot *)
   newpos : Vec3.t array;
   chi : Vec3.t array; (* gaussian displacements, for the GF correction *)
   accepted : int array;
-  (* pipeline-path scratch *)
   ratio : float array;
   gx : float array;
   gy : float array;
@@ -41,156 +35,104 @@ type t = {
   acc : bool array;
 }
 
-let create ?(pipeline = true) ~(factory : int -> Engine_api.t) ~base ~size
-    () =
+type t = { engines : Engine_api.t array; pipe : pipe option }
+
+let create ~(factory : int -> Engine_api.t) ~base ~size () =
   if size < 1 then invalid_arg "Crowd.create: size < 1";
   let engines = Array.init size (fun s -> factory (base + s)) in
-  let stages =
-    if pipeline then
-      engines.(0).Engine_api.make_crowd_stages
-        (Array.map (fun e -> e.Engine_api.crowd_hook) engines)
-    else None
+  let pipe =
+    engines.(0).Engine_api.make_crowd_stages
+      (Array.map (fun e -> e.Engine_api.crowd_hook) engines)
+    |> Option.map (fun stages ->
+           {
+             stages;
+             batch = engines.(0).Engine_api.make_vgl_batch size;
+             pos = Array.make size Vec3.zero;
+             newpos = Array.make size Vec3.zero;
+             chi = Array.make size Vec3.zero;
+             accepted = Array.make size 0;
+             ratio = Array.make size 1.;
+             gx = Array.make size 0.;
+             gy = Array.make size 0.;
+             gz = Array.make size 0.;
+             acc = Array.make size false;
+           })
   in
-  {
-    engines;
-    batch = engines.(0).Engine_api.make_vgl_batch size;
-    stages;
-    pos = Array.make size Vec3.zero;
-    newpos = Array.make size Vec3.zero;
-    chi = Array.make size Vec3.zero;
-    accepted = Array.make size 0;
-    ratio = Array.make size 1.;
-    gx = Array.make size 0.;
-    gy = Array.make size 0.;
-    gz = Array.make size 0.;
-    acc = Array.make size false;
-  }
+  { engines; pipe }
 
 let size t = Array.length t.engines
 let engine t s = t.engines.(s)
-let pipelined t = Option.is_some t.stages
+let pipelined t = Option.is_some t.pipe
 
-(* Staged fallback: batched SPO only, scalar per-walker stages. *)
-let sweep_staged t ~active ~(rng : int -> Xoshiro.t) ~tau =
+(* The full pipeline: every engine-side kernel goes through the fused
+   crowd stages; the move rule runs per slot between them. *)
+let sweep_pipeline t (p : pipe) ~active ~(rng : int -> Xoshiro.t) ~tau =
+  let cs = p.stages in
   let n = t.engines.(0).Engine_api.n_electrons in
-  let sqrt_tau = sqrt tau in
   let timers0 = t.engines.(0).Engine_api.timers in
-  for k = 0 to n - 1 do
-    (* Stage 1: batched SPO at the crowd's current electron-k positions,
-       then per-walker drift, diffusion draw and proposal. *)
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.prepare k;
-      t.pos.(s) <- pb.Engine_api.current_pos k
-    done;
-    Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.pos active);
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.stage_vgl t.batch.Oqmc_wavefunction.Spo.slots.(s);
-      let gold = pb.Engine_api.grad k in
-      let cx, cy, cz = Xoshiro.gaussian_vec3 (rng s) in
-      let chi =
-        Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz)
-      in
-      let rk = t.pos.(s) in
-      let newpos = Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi) in
-      t.chi.(s) <- chi;
-      t.newpos.(s) <- newpos;
-      pb.Engine_api.propose k newpos
-    done;
-    (* Stage 2: batched SPO at the proposed positions, then per-walker
-       Metropolis decision with the drifted-Gaussian GF correction. *)
-    Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.newpos active);
-    for s = 0 to active - 1 do
-      let pb = t.engines.(s).Engine_api.pbp in
-      pb.Engine_api.stage_vgl t.batch.Oqmc_wavefunction.Spo.slots.(s);
-      let ratio, gnew = pb.Engine_api.ratio_grad k in
-      let rk = t.pos.(s) and newpos = t.newpos.(s) and chi = t.chi.(s) in
-      let back = Vec3.sub (Vec3.sub rk newpos) (Vec3.scale tau gnew) in
-      let log_gf = -.Vec3.norm2 chi /. (2. *. tau) in
-      let log_gb = -.Vec3.norm2 back /. (2. *. tau) in
-      let p = ratio *. ratio *. exp (log_gb -. log_gf) in
-      if Xoshiro.uniform (rng s) < p then begin
-        t.accepted.(s) <- t.accepted.(s) + 1;
-        pb.Engine_api.accept k ~ratio
-      end
-      else pb.Engine_api.reject k
-    done
-  done
-
-(* Full pipeline: the per-walker expressions (drift, proposal, GF
-   correction, Metropolis) are kept verbatim from the staged path; every
-   engine-side kernel goes through the fused crowd stages. *)
-let sweep_pipeline t (cs : Engine_api.crowd_stage) ~active
-    ~(rng : int -> Xoshiro.t) ~tau =
-  let n = t.engines.(0).Engine_api.n_electrons in
-  let sqrt_tau = sqrt tau in
-  let timers0 = t.engines.(0).Engine_api.timers in
+  Array.fill p.accepted 0 active 0;
   for k = 0 to n - 1 do
     cs.Engine_api.cs_prepare ~k ~m:active;
     for s = 0 to active - 1 do
-      t.pos.(s) <- (t.engines.(s).Engine_api.pbp).Engine_api.current_pos k
+      p.pos.(s) <- (t.engines.(s).Engine_api.pbp).Engine_api.current_pos k
     done;
     Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.pos active);
-    Array.fill t.gx 0 active 0.;
-    Array.fill t.gy 0 active 0.;
-    Array.fill t.gz 0 active 0.;
+        p.batch.Oqmc_wavefunction.Spo.run p.pos active);
+    Array.fill p.gx 0 active 0.;
+    Array.fill p.gy 0 active 0.;
+    Array.fill p.gz 0 active 0.;
     cs.Engine_api.cs_grad ~k ~m:active
-      ~slots:t.batch.Oqmc_wavefunction.Spo.slots ~gx:t.gx ~gy:t.gy ~gz:t.gz;
+      ~slots:p.batch.Oqmc_wavefunction.Spo.slots ~gx:p.gx ~gy:p.gy ~gz:p.gz;
     for s = 0 to active - 1 do
-      let gold = Vec3.make t.gx.(s) t.gy.(s) t.gz.(s) in
-      let cx, cy, cz = Xoshiro.gaussian_vec3 (rng s) in
-      let chi =
-        Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz)
-      in
-      let rk = t.pos.(s) in
-      let newpos = Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi) in
-      t.chi.(s) <- chi;
-      t.newpos.(s) <- newpos
+      let gold = Vec3.make p.gx.(s) p.gy.(s) p.gz.(s) in
+      let chi, newpos = Engine_api.Move.propose (rng s) ~tau p.pos.(s) gold in
+      p.chi.(s) <- chi;
+      p.newpos.(s) <- newpos
     done;
-    cs.Engine_api.cs_propose ~k ~m:active ~pos:t.newpos;
+    cs.Engine_api.cs_propose ~k ~m:active ~pos:p.newpos;
     Timers.time timers0 "Bspline-vgh" (fun () ->
-        t.batch.Oqmc_wavefunction.Spo.run t.newpos active);
-    Array.fill t.ratio 0 active 1.;
-    Array.fill t.gx 0 active 0.;
-    Array.fill t.gy 0 active 0.;
-    Array.fill t.gz 0 active 0.;
+        p.batch.Oqmc_wavefunction.Spo.run p.newpos active);
+    Array.fill p.ratio 0 active 1.;
+    Array.fill p.gx 0 active 0.;
+    Array.fill p.gy 0 active 0.;
+    Array.fill p.gz 0 active 0.;
     cs.Engine_api.cs_ratio_grad ~k ~m:active
-      ~slots:t.batch.Oqmc_wavefunction.Spo.slots ~ratio:t.ratio ~gx:t.gx
-      ~gy:t.gy ~gz:t.gz;
+      ~slots:p.batch.Oqmc_wavefunction.Spo.slots ~ratio:p.ratio ~gx:p.gx
+      ~gy:p.gy ~gz:p.gz;
     for s = 0 to active - 1 do
-      let ratio = t.ratio.(s) in
-      let gnew = Vec3.make t.gx.(s) t.gy.(s) t.gz.(s) in
-      let rk = t.pos.(s) and newpos = t.newpos.(s) and chi = t.chi.(s) in
-      let back = Vec3.sub (Vec3.sub rk newpos) (Vec3.scale tau gnew) in
-      let log_gf = -.Vec3.norm2 chi /. (2. *. tau) in
-      let log_gb = -.Vec3.norm2 back /. (2. *. tau) in
-      let p = ratio *. ratio *. exp (log_gb -. log_gf) in
-      if Xoshiro.uniform (rng s) < p then begin
-        t.accepted.(s) <- t.accepted.(s) + 1;
-        t.acc.(s) <- true
-      end
-      else t.acc.(s) <- false
+      let acc =
+        Engine_api.Move.accept (rng s) ~tau ~rk:p.pos.(s)
+          ~newpos:p.newpos.(s) ~chi:p.chi.(s) ~ratio:p.ratio.(s)
+          ~gnew:(Vec3.make p.gx.(s) p.gy.(s) p.gz.(s))
+      in
+      if acc then p.accepted.(s) <- p.accepted.(s) + 1;
+      p.acc.(s) <- acc
     done;
-    cs.Engine_api.cs_commit ~k ~m:active ~acc:t.acc ~ratio:t.ratio
-  done
+    cs.Engine_api.cs_commit ~k ~m:active ~acc:p.acc ~ratio:p.ratio
+  done;
+  Array.init active (fun s ->
+      { Engine_api.accepted = p.accepted.(s); proposed = n })
 
 (* One sweep of all [active] resident walkers ([rng s] is walker s's
-   stream).  Returns per-slot sweep results; [accepted] scratch is
-   reused, so consume before the next call. *)
+   stream).  Returns per-slot sweep results. *)
 let sweep t ~active ~(rng : int -> Xoshiro.t) ~tau =
   if active < 1 || active > size t then invalid_arg "Crowd.sweep: active";
   Oqmc_obs.Trace.with_span
     ~args:[ ("active", string_of_int active) ]
     "crowd.sweep"
   @@ fun () ->
-  let n = t.engines.(0).Engine_api.n_electrons in
-  Array.fill t.accepted 0 active 0;
-  (match t.stages with
-  | Some cs -> sweep_pipeline t cs ~active ~rng ~tau
-  | None -> sweep_staged t ~active ~rng ~tau);
-  Array.init active (fun s ->
-      { Engine_api.accepted = t.accepted.(s); proposed = n })
+  match t.pipe with
+  | Some p -> sweep_pipeline t p ~active ~rng ~tau
+  | None ->
+      (* Each slot times its kernels on its own engine's timers; fold
+         them into slot 0's, which the runner merges per domain (as the
+         pipeline times its batched stages on slot 0's). *)
+      let timers0 = t.engines.(0).Engine_api.timers in
+      Array.init active (fun s ->
+          let e = t.engines.(s) in
+          let r = e.Engine_api.sweep (rng s) ~tau in
+          if e.Engine_api.timers != timers0 then begin
+            Timers.merge ~into:timers0 e.Engine_api.timers;
+            Timers.reset e.Engine_api.timers
+          end;
+          r)

@@ -1,34 +1,28 @@
 (** A crowd of walkers marching in lockstep through the PbP sweep (the
     hierarchical-parallelism layer of QMCPACK's batched drivers): one
-    crowd per domain, [size] engines (one per resident walker) and one
-    batched SPO context, so each per-electron move costs two batched
-    kernel calls for the whole crowd instead of two scalar calls per
-    walker.  Per walker, arithmetic and RNG draw order are identical to
-    [Engine_api.sweep] — crowd trajectories are bit-identical to the
-    scalar reference on the double path. *)
+    crowd per domain and [size] engines (one per resident walker).  When
+    the engines publish a matching crowd hook, every move kernel runs as
+    one batched call per crowd per stage (the full pipeline); otherwise
+    each slot runs its scalar [Engine_api.sweep] in turn.  Per walker,
+    arithmetic and RNG draw order are those of [Engine_api.sweep] —
+    crowd trajectories are bit-identical to the scalar reference on the
+    double path. *)
 
 type t
 
 val create :
-  ?pipeline:bool -> factory:(int -> Engine_api.t) -> base:int -> size:int ->
-  unit -> t
+  factory:(int -> Engine_api.t) -> base:int -> size:int -> unit -> t
 (** Engines are built by [factory (base + s)] for slot [s < size] — give
     each domain's crowd a distinct [base] so engine seeds stay unique.
-
-    [pipeline] (default [true]) asks for the full-pipeline batched sweep:
-    distance-table, Jastrow and determinant kernels fused across the
-    crowd per stage, in addition to the batched SPO evaluations.  It
-    takes effect only when every engine publishes a matching crowd hook
-    ({!pipelined} reports the outcome); otherwise — and always with
-    [pipeline:false] — the crowd runs the staged per-walker path with
-    batched SPO only.  Both paths are bit-identical to the scalar
-    [Engine_api.sweep] on the double-precision path.
+    The crowd runs the full pipeline when every engine publishes a
+    matching crowd hook ({!pipelined} reports the outcome).
     @raise Invalid_argument if [size < 1]. *)
 
 val size : t -> int
 
 val pipelined : t -> bool
-(** Whether this crowd runs the full batched pipeline. *)
+(** Whether this crowd runs the full batched pipeline (tests use it to
+    guard against a silent fallback to scalar sweeps). *)
 
 val engine : t -> int -> Engine_api.t
 (** The engine holding slot [s]'s walker state — use it to

@@ -48,8 +48,8 @@ struct
      constructor is minted once per functor instantiation, so every
      engine built from the same instantiation (one per precision in
      [Build]) recognizes its siblings' hooks; a foreign hook makes
-     [make_crowd_stages] decline and the crowd falls back to the staged
-     per-walker path. *)
+     [make_crowd_stages] decline and the crowd runs each slot's scalar
+     sweep. *)
   type slot = {
     sl_dets : Det.state array;
     sl_j2 : J2.opt option;
@@ -298,17 +298,13 @@ struct
               Option.map (fun i -> ABsoa.create ~sources:i ps) io )
     in
     (* --- wavefunction components --- *)
-    (* One staging slot shared by both spin determinants: exactly one of
-       them is in-group for any electron k, so a staged SPO result is
-       always consumed by the determinant the crowd driver aimed it at. *)
-    let staged = ref None in
     let det_states =
-      Det.make ~timers ~scheme:det_scheme ~staged ~spo:sys.System.spo
-        ~first:0 ~count:n_up ps
+      Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo ~first:0
+        ~count:n_up ps
       ::
       (if n_down > 0 then
          [
-           Det.make ~timers ~scheme:det_scheme ~staged ~spo:sys.System.spo
+           Det.make ~timers ~scheme:det_scheme ~spo:sys.System.spo
              ~first:n_up ~count:n_down ps;
          ]
        else [])
@@ -475,41 +471,6 @@ struct
       tables_evaluate ();
       Twf.evaluate_log twf ps
     in
-    let sweep rng ~tau =
-      let sqrt_tau = sqrt tau in
-      let accepted = ref 0 in
-      for k = 0 to n - 1 do
-        tables_prepare k;
-        let gold = Twf.grad twf ps k in
-        let cx, cy, cz = Xoshiro.gaussian_vec3 rng in
-        let chi =
-          Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz)
-        in
-        let rk = Ps.get ps k in
-        let newpos = Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi) in
-        Ps.propose ps k newpos;
-        tables_move k newpos;
-        let ratio, gnew = Twf.ratio_grad twf ps k in
-        (* Green's-function correction for the drifted Gaussian proposal. *)
-        let back =
-          Vec3.sub (Vec3.sub rk newpos) (Vec3.scale tau gnew)
-        in
-        let log_gf = -.Vec3.norm2 chi /. (2. *. tau) in
-        let log_gb = -.Vec3.norm2 back /. (2. *. tau) in
-        let p = ratio *. ratio *. exp (log_gb -. log_gf) in
-        if Xoshiro.uniform rng < p then begin
-          incr accepted;
-          Twf.accept twf ps k ~ratio;
-          tables_accept k;
-          Ps.accept ps
-        end
-        else begin
-          Twf.reject twf ps k;
-          Ps.reject ps
-        end
-      done;
-      { Engine_api.accepted = !accepted; proposed = n }
-    in
     let measure () =
       (* The compute-on-the-fly policy leaves AA rows of already-moved
          electrons stale within a sweep; measurements rebuild the table
@@ -565,8 +526,8 @@ struct
       + Option.fold ~none:0 ~some:(fun i -> Ps.bytes i) ions
       + table_bytes + Twf.bytes twf
     in
-    (* Staged form of the sweep's per-electron move for crowd-lockstep
-       drivers; [sweep] above remains the reference composition. *)
+    (* The stages of one PbP move; the scalar sweep is their
+       composition. *)
     let pbp =
       {
         Engine_api.prepare = tables_prepare;
@@ -586,12 +547,11 @@ struct
           (fun k ->
             Twf.reject twf ps k;
             Ps.reject ps);
-        stage_vgl = (fun v -> staged := Some v);
       }
     in
     (* Full-pipeline crowd hook: only the SoA/compute-on-the-fly layout
-       has batched table kernels; Store engines decline and crowds fall
-       back to the staged path. *)
+       has batched table kernels; Store engines decline and crowds run
+       each slot's scalar sweep. *)
     let crowd_hook =
       match tables with
       | Store_t _ -> Engine_api.No_crowd_hook
@@ -618,7 +578,7 @@ struct
       n_electrons = n;
       timers;
       refresh;
-      sweep;
+      sweep = Engine_api.sweep_of_pbp pbp ~n;
       measure;
       load_walker;
       restore_walker;

@@ -1,5 +1,6 @@
 open Oqmc_containers
 open Oqmc_particle
+open Oqmc_rng
 
 (* Variant-erased compute engine.
 
@@ -11,13 +12,9 @@ open Oqmc_particle
 
 type sweep_result = { accepted : int; proposed : int }
 
-(* The individual stages of one particle-by-particle move, exposed so a
-   crowd driver can run many engines in lockstep over electron [k] and
-   batch the SPO evaluations across walkers.  [stage_vgl] hands the
-   engine a pre-computed SPO result for the position the next [grad] or
-   [ratio_grad] call would otherwise evaluate; it is consumed exactly
-   once.  The scalar [sweep] is the composition of these stages and
-   stays the reference oracle. *)
+(* The individual stages of one particle-by-particle move.  The scalar
+   [sweep] is their composition ({!sweep_of_pbp}) and stays the
+   reference oracle that the crowd pipeline is tested against. *)
 type pbp = {
   prepare : int -> unit; (* distance-table prepare for electron k *)
   current_pos : int -> Vec3.t;
@@ -26,8 +23,51 @@ type pbp = {
   ratio_grad : int -> float * Vec3.t; (* at the proposed position *)
   accept : int -> ratio:float -> unit;
   reject : int -> unit;
-  stage_vgl : Oqmc_wavefunction.Spo.vgl -> unit;
 }
+
+(* The move rule of Alg. 1 (L5-L9), written once: the drifted-Gaussian
+   proposal r' = r + τ∇lnΨ(r) + χ with χ ~ N(0, τ), and the Metropolis
+   test on |Ψ(r')/Ψ(r)|² times the Green's-function ratio
+   G(r←r')/G(r'←r).  The scalar sweep and the crowd pipeline both call
+   it, so their per-walker arithmetic and RNG draw order (gaussian, then
+   uniform, per electron) are the same by construction. *)
+module Move = struct
+  (* Draw χ and return (χ, r'). *)
+  let propose rng ~tau (rk : Vec3.t) (gold : Vec3.t) =
+    let sqrt_tau = sqrt tau in
+    let cx, cy, cz = Xoshiro.gaussian_vec3 rng in
+    let chi = Vec3.make (sqrt_tau *. cx) (sqrt_tau *. cy) (sqrt_tau *. cz) in
+    (chi, Vec3.add rk (Vec3.add (Vec3.scale tau gold) chi))
+
+  (* Green's-function-corrected acceptance of the move rk → newpos with
+     wavefunction [ratio] and ∇lnΨ(newpos) = [gnew]; draws the uniform. *)
+  let accept rng ~tau ~(rk : Vec3.t) ~(newpos : Vec3.t) ~(chi : Vec3.t)
+      ~ratio ~(gnew : Vec3.t) =
+    let back = Vec3.sub (Vec3.sub rk newpos) (Vec3.scale tau gnew) in
+    let log_gf = -.Vec3.norm2 chi /. (2. *. tau) in
+    let log_gb = -.Vec3.norm2 back /. (2. *. tau) in
+    let p = ratio *. ratio *. exp (log_gb -. log_gf) in
+    Xoshiro.uniform rng < p
+end
+
+(* One particle-by-particle sweep over [n] electrons as the composition
+   of the PbP stages and the move rule. *)
+let sweep_of_pbp (pb : pbp) ~n rng ~tau =
+  let accepted = ref 0 in
+  for k = 0 to n - 1 do
+    pb.prepare k;
+    let gold = pb.grad k in
+    let rk = pb.current_pos k in
+    let chi, newpos = Move.propose rng ~tau rk gold in
+    pb.propose k newpos;
+    let ratio, gnew = pb.ratio_grad k in
+    if Move.accept rng ~tau ~rk ~newpos ~chi ~ratio ~gnew then begin
+      incr accepted;
+      pb.accept k ~ratio
+    end
+    else pb.reject k
+  done;
+  { accepted = !accepted; proposed = n }
 
 (* Full-pipeline crowd batching.
 
@@ -36,8 +76,8 @@ type pbp = {
    move stages: each build variant extends the type with a constructor
    wrapping its internal per-walker state, and [make_crowd_stages]
    recognizes its own constructor (and only it — a foreign or [No_crowd_hook]
-   slot makes it return [None], telling the crowd to fall back to the
-   staged per-walker path).
+   slot makes it return [None], telling the crowd to run each slot's
+   scalar [sweep] in turn).
 
    A [crowd_stage] runs one stage of the PbP move for crowd slots
    [0..m-1] of electron [k] in a single fused pass per kernel —
@@ -110,7 +150,7 @@ type t = {
       (* Persistent per-engine + per-walker-state footprint (excludes the
          shared read-only SPO table). *)
   pbp : pbp;
-      (* Staged form of one PbP move, for crowd-lockstep drivers. *)
+      (* The stages of one PbP move; [sweep] is their composition. *)
   make_vgl_batch : int -> Oqmc_wavefunction.Spo.vgl_batch;
       (* Crowd-sized batch context over this engine's SPO set; scratch
          is owned by the context, one per domain. *)
@@ -120,8 +160,8 @@ type t = {
   make_crowd_stages : crowd_hook array -> crowd_stage option;
       (* Build the fused move stages over a crowd of sibling engines
          (one hook per slot, this engine's included); [None] when any
-         slot is foreign or the variant cannot batch (crowds then fall
-         back to the staged per-walker path). *)
+         slot is foreign or the variant cannot batch (crowds then run
+         each slot's scalar [sweep]). *)
 }
 
 (* Drift of the incrementally-maintained log Ψ against a full

@@ -64,7 +64,6 @@ module Make (R : Precision.REAL) = struct
     bsx : float array;
     bsy : float array;
     bsz : float array;
-    bslab : float array;
     bprod : float array;
     outs : vgh_buf array;
   }
@@ -77,7 +76,6 @@ module Make (R : Precision.REAL) = struct
     vwx : float array;
     vwy : float array;
     vwz : float array;
-    vslab : float array;
     vouts : float array array;
   }
 
@@ -143,8 +141,41 @@ module Make (R : Precision.REAL) = struct
     [| w.Bspline_basis.w0; w.Bspline_basis.w1; w.Bspline_basis.w2;
        w.Bspline_basis.w3 |]
 
-  (* Bspline-v: values of all orbitals at s = (u0,u1,u2). *)
-  let eval_v t ~u0 ~u1 ~u2 (out : float array) =
+  (* Zero orbitals [orb_off, orb_off + n_orb) of a vgh buffer. *)
+  let zero_vgh t (buf : vgh_buf) ~orb_off =
+    let n = t.n_orb in
+    Array.fill buf.v orb_off n 0.;
+    Array.fill buf.gx orb_off n 0.;
+    Array.fill buf.gy orb_off n 0.;
+    Array.fill buf.gz orb_off n 0.;
+    Array.fill buf.hxx orb_off n 0.;
+    Array.fill buf.hxy orb_off n 0.;
+    Array.fill buf.hxz orb_off n 0.;
+    Array.fill buf.hyy orb_off n 0.;
+    Array.fill buf.hyz orb_off n 0.;
+    Array.fill buf.hzz orb_off n 0.
+
+  (* Convert t-space derivatives of orbitals [orb_off, orb_off + n_orb)
+     to fractional-coordinate derivatives. *)
+  let scale_vgh t (buf : vgh_buf) ~orb_off =
+    let fx = float_of_int t.nx and fy = float_of_int t.ny in
+    let fz = float_of_int t.nz in
+    for m = orb_off to orb_off + t.n_orb - 1 do
+      buf.gx.(m) <- buf.gx.(m) *. fx;
+      buf.gy.(m) <- buf.gy.(m) *. fy;
+      buf.gz.(m) <- buf.gz.(m) *. fz;
+      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
+      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
+      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
+      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
+      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
+      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
+    done
+
+  (* Bspline-v: values of all orbitals at s = (u0,u1,u2), into
+     [out.(orb_off ..)] — a tiled table evaluates each tile straight into
+     its orbital segment of the caller's buffer. *)
+  let eval_v_at t ~u0 ~u1 ~u2 (out : float array) ~orb_off =
     let ix, tx = locate t.nx u0 in
     let iy, ty = locate t.ny u1 in
     let iz, tz = locate t.nz u2 in
@@ -152,7 +183,7 @@ module Make (R : Precision.REAL) = struct
     let wy = weights_of Bspline_basis.value ty in
     let wz = weights_of Bspline_basis.value tz in
     let n = t.n_orb in
-    Array.fill out 0 n 0.;
+    Array.fill out orb_off n 0.;
     let coeffs = t.coeffs in
     for a = 0 to 3 do
       for b = 0 to 3 do
@@ -162,14 +193,18 @@ module Make (R : Precision.REAL) = struct
           let p = wab *. wz.(c) in
           let base = (row + c) * t.orb_stride in
           for m = 0 to n - 1 do
-            out.(m) <- out.(m) +. (p *. A.unsafe_get coeffs (base + m))
+            let o = orb_off + m in
+            out.(o) <- out.(o) +. (p *. A.unsafe_get coeffs (base + m))
           done
         done
       done
     done
 
-  (* Bspline-vgh: values, fractional-coordinate gradients and hessians. *)
-  let eval_vgh t ~u0 ~u1 ~u2 (buf : vgh_buf) =
+  let eval_v t ~u0 ~u1 ~u2 out = eval_v_at t ~u0 ~u1 ~u2 out ~orb_off:0
+
+  (* Bspline-vgh: values, fractional-coordinate gradients and hessians,
+     into orbitals [orb_off ..] of [buf]. *)
+  let eval_vgh_at t ~u0 ~u1 ~u2 (buf : vgh_buf) ~orb_off =
     let ix, tx = locate t.nx u0 in
     let iy, ty = locate t.ny u1 in
     let iz, tz = locate t.nz u2 in
@@ -183,16 +218,7 @@ module Make (R : Precision.REAL) = struct
     let sy = weights_of Bspline_basis.second ty in
     let sz = weights_of Bspline_basis.second tz in
     let n = t.n_orb in
-    Array.fill buf.v 0 n 0.;
-    Array.fill buf.gx 0 n 0.;
-    Array.fill buf.gy 0 n 0.;
-    Array.fill buf.gz 0 n 0.;
-    Array.fill buf.hxx 0 n 0.;
-    Array.fill buf.hxy 0 n 0.;
-    Array.fill buf.hxz 0 n 0.;
-    Array.fill buf.hyy 0 n 0.;
-    Array.fill buf.hyz 0 n 0.;
-    Array.fill buf.hzz 0 n 0.;
+    zero_vgh t buf ~orb_off;
     let coeffs = t.coeffs in
     for a = 0 to 3 do
       for b = 0 to 3 do
@@ -214,34 +240,24 @@ module Make (R : Precision.REAL) = struct
           let base = (row + c) * t.orb_stride in
           for m = 0 to n - 1 do
             let cf = A.unsafe_get coeffs (base + m) in
-            buf.v.(m) <- buf.v.(m) +. (p_v *. cf);
-            buf.gx.(m) <- buf.gx.(m) +. (p_gx *. cf);
-            buf.gy.(m) <- buf.gy.(m) +. (p_gy *. cf);
-            buf.gz.(m) <- buf.gz.(m) +. (p_gz *. cf);
-            buf.hxx.(m) <- buf.hxx.(m) +. (p_hxx *. cf);
-            buf.hxy.(m) <- buf.hxy.(m) +. (p_hxy *. cf);
-            buf.hxz.(m) <- buf.hxz.(m) +. (p_hxz *. cf);
-            buf.hyy.(m) <- buf.hyy.(m) +. (p_hyy *. cf);
-            buf.hyz.(m) <- buf.hyz.(m) +. (p_hyz *. cf);
-            buf.hzz.(m) <- buf.hzz.(m) +. (p_hzz *. cf)
+            let o = orb_off + m in
+            buf.v.(o) <- buf.v.(o) +. (p_v *. cf);
+            buf.gx.(o) <- buf.gx.(o) +. (p_gx *. cf);
+            buf.gy.(o) <- buf.gy.(o) +. (p_gy *. cf);
+            buf.gz.(o) <- buf.gz.(o) +. (p_gz *. cf);
+            buf.hxx.(o) <- buf.hxx.(o) +. (p_hxx *. cf);
+            buf.hxy.(o) <- buf.hxy.(o) +. (p_hxy *. cf);
+            buf.hxz.(o) <- buf.hxz.(o) +. (p_hxz *. cf);
+            buf.hyy.(o) <- buf.hyy.(o) +. (p_hyy *. cf);
+            buf.hyz.(o) <- buf.hyz.(o) +. (p_hyz *. cf);
+            buf.hzz.(o) <- buf.hzz.(o) +. (p_hzz *. cf)
           done
         done
       done
     done;
-    (* Convert t-space derivatives to fractional-coordinate derivatives. *)
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = 0 to n - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
+    scale_vgh t buf ~orb_off
+
+  let eval_vgh t ~u0 ~u1 ~u2 buf = eval_vgh_at t ~u0 ~u1 ~u2 buf ~orb_off:0
 
   (* ---------- crowd-batched kernels ----------
 
@@ -272,7 +288,6 @@ module Make (R : Precision.REAL) = struct
       bsx = fa ();
       bsy = fa ();
       bsz = fa ();
-      bslab = Array.make (64 * t.n_orb) 0.;
       bprod = Array.make (640 * cap) 0.;
       outs = Array.init cap (fun _ -> make_vgh_buf t);
     }
@@ -289,64 +304,8 @@ module Make (R : Precision.REAL) = struct
       vwx = fa ();
       vwy = fa ();
       vwz = fa ();
-      vslab = Array.make (64 * t.n_orb) 0.;
       vouts = Array.init cap (fun _ -> Array.make t.n_orb 0.);
     }
-
-  (* Kind-specialized gather of the 4×4×4 stencil's coefficients into a
-     flat double slab (cell layout [((a·4+b)·4+c)·n_orb + m]).  Reading a
-     bigarray whose element kind is only known through the functor
-     argument goes through an indirect call that boxes every float it
-     returns — ~2·n_orb·64 words of garbage per evaluation.  Matching the
-     kind GADT once recovers the static kind, so these loops compile to
-     direct unboxed loads; the generic accumulation loops then run over
-     the plain-float slab, also allocation-free.  The loads produce the
-     same doubles [A.unsafe_get] would, so results stay bit-identical to
-     the scalar kernels. *)
-  let gather_f64
-      (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (slab : float array) ~ix ~iy ~iz ~cy ~cz
-      ~orb_stride ~norb =
-    let q = ref 0 in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let row = (((ix + a) * cy) + iy + b) * cz + iz in
-        for c = 0 to 3 do
-          let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            Array.unsafe_set slab !q
-              (Bigarray.Array1.unsafe_get coeffs (base + m));
-            incr q
-          done
-        done
-      done
-    done
-
-  let gather_f32
-      (coeffs : (float, Bigarray.float32_elt, Bigarray.c_layout)
-                  Bigarray.Array1.t) (slab : float array) ~ix ~iy ~iz ~cy ~cz
-      ~orb_stride ~norb =
-    let q = ref 0 in
-    for a = 0 to 3 do
-      for b = 0 to 3 do
-        let row = (((ix + a) * cy) + iy + b) * cz + iz in
-        for c = 0 to 3 do
-          let base = (row + c) * orb_stride in
-          for m = 0 to norb - 1 do
-            Array.unsafe_set slab !q
-              (Bigarray.Array1.unsafe_get coeffs (base + m));
-            incr q
-          done
-        done
-      done
-    done
-
-  let gather_coeffs :
-      A.t -> float array -> ix:int -> iy:int -> iz:int -> cy:int -> cz:int ->
-      orb_stride:int -> norb:int -> unit =
-    match R.kind with
-    | Bigarray.Float64 -> gather_f64
-    | Bigarray.Float32 -> gather_f32
 
   (* Allocation-free weight fills; same formulas as Bspline_basis.  The
      interpolation parameter is read from [w.(off)] (stashed there by the
@@ -380,9 +339,9 @@ module Make (R : Precision.REAL) = struct
     w.(off + 3) <- t
 
   (* Phase 1 of the batched Bspline-v: per-walker stencil origin + value
-     weights into the arena.  Split out so the tiled layout (which shares
-     the grid dimensions across tiles) can stage once and run phase 2 per
-     tile.  [locate] written out so no (int, float) tuple is allocated. *)
+     weights into the arena.  Only the grid dimensions are read, so a
+     tiled table stages once and runs phase 2 per tile.  [locate] written
+     out so no (int, float) tuple is allocated. *)
   let stage_v_batch t (b : v_batch) ~n ~(u0 : float array)
       ~(u1 : float array) ~(u2 : float array) =
     if n < 0 || n > b.vcap then invalid_arg "Bspline3d.eval_v_batch: bad n";
@@ -409,41 +368,6 @@ module Make (R : Precision.REAL) = struct
       put_value b.vwx off;
       put_value b.vwy off;
       put_value b.vwz off
-    done
-
-  (* Phase 2 for one walker slot: zero, gather and accumulate the orbital
-     segment [orb_off, orb_off + n_orb t) of [out] from this table's
-     coefficients.  With [orb_off = 0] and a full-width table this is
-     exactly the flat kernel; the tiled layout calls it once per tile at
-     the tile's orbital offset, so per orbital the arithmetic —
-     expressions and accumulation order — is identical in both layouts
-     and the double-path results are bit-identical by construction. *)
-  let accum_v_slot t (b : v_batch) ~s ~(out : float array) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill out orb_off norb 0.;
-    gather_coeffs t.coeffs b.vslab ~ix:b.vix.(s) ~iy:b.viy.(s)
-      ~iz:b.viz.(s) ~cy:t.cy ~cz:t.cz ~orb_stride:t.orb_stride ~norb;
-    let slab = b.vslab in
-    let off = 4 * s in
-    for a = 0 to 3 do
-      for bb = 0 to 3 do
-        let wab = b.vwx.(off + a) *. b.vwy.(off + bb) in
-        for c = 0 to 3 do
-          let p = wab *. b.vwz.(off + c) in
-          let cell = ((((a * 4) + bb) * 4) + c) * norb in
-          for m = 0 to norb - 1 do
-            out.(orb_off + m) <-
-              out.(orb_off + m) +. (p *. Array.unsafe_get slab (cell + m))
-          done
-        done
-      done
-    done
-
-  let eval_v_batch t (b : v_batch) ~n ~(u0 : float array) ~(u1 : float array)
-      ~(u2 : float array) =
-    stage_v_batch t b ~n ~u0 ~u1 ~u2;
-    for s = 0 to n - 1 do
-      accum_v_slot t b ~s ~out:b.vouts.(s) ~orb_off:0
     done
 
   (* Phase 1 of the batched Bspline-vgh: per-walker stencil origin + the
@@ -489,105 +413,26 @@ module Make (R : Precision.REAL) = struct
       put_second b.bsz off
     done
 
-  (* Phase 2 for one walker slot (vgh analogue of [accum_v_slot]): zero,
-     gather, accumulate and metric-scale the orbital segment
-     [orb_off, orb_off + n_orb t) of [buf] from this table. *)
-  let accum_vgh_slot t (b : vgh_batch) ~s ~(buf : vgh_buf) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill buf.v orb_off norb 0.;
-    Array.fill buf.gx orb_off norb 0.;
-    Array.fill buf.gy orb_off norb 0.;
-    Array.fill buf.gz orb_off norb 0.;
-    Array.fill buf.hxx orb_off norb 0.;
-    Array.fill buf.hxy orb_off norb 0.;
-    Array.fill buf.hxz orb_off norb 0.;
-    Array.fill buf.hyy orb_off norb 0.;
-    Array.fill buf.hyz orb_off norb 0.;
-    Array.fill buf.hzz orb_off norb 0.;
-    gather_coeffs t.coeffs b.bslab ~ix:b.bix.(s) ~iy:b.biy.(s)
-      ~iz:b.biz.(s) ~cy:t.cy ~cz:t.cz ~orb_stride:t.orb_stride ~norb;
-    let slab = b.bslab in
-    let off = 4 * s in
-    for a = 0 to 3 do
-      let wxa = b.bwx.(off + a)
-      and dxa = b.bdx.(off + a)
-      and sxa = b.bsx.(off + a) in
-      for bb = 0 to 3 do
-        let wyb = b.bwy.(off + bb)
-        and dyb = b.bdy.(off + bb)
-        and syb = b.bsy.(off + bb) in
-        for c = 0 to 3 do
-          let wzc = b.bwz.(off + c)
-          and dzc = b.bdz.(off + c)
-          and szc = b.bsz.(off + c) in
-          let p_v = wxa *. wyb *. wzc in
-          let p_gx = dxa *. wyb *. wzc in
-          let p_gy = wxa *. dyb *. wzc in
-          let p_gz = wxa *. wyb *. dzc in
-          let p_hxx = sxa *. wyb *. wzc in
-          let p_hxy = dxa *. dyb *. wzc in
-          let p_hxz = dxa *. wyb *. dzc in
-          let p_hyy = wxa *. syb *. wzc in
-          let p_hyz = wxa *. dyb *. dzc in
-          let p_hzz = wxa *. wyb *. szc in
-          let cell = ((((a * 4) + bb) * 4) + c) * norb in
-          for m = 0 to norb - 1 do
-            let cf = Array.unsafe_get slab (cell + m) in
-            let q = orb_off + m in
-            buf.v.(q) <- buf.v.(q) +. (p_v *. cf);
-            buf.gx.(q) <- buf.gx.(q) +. (p_gx *. cf);
-            buf.gy.(q) <- buf.gy.(q) +. (p_gy *. cf);
-            buf.gz.(q) <- buf.gz.(q) +. (p_gz *. cf);
-            buf.hxx.(q) <- buf.hxx.(q) +. (p_hxx *. cf);
-            buf.hxy.(q) <- buf.hxy.(q) +. (p_hxy *. cf);
-            buf.hxz.(q) <- buf.hxz.(q) +. (p_hxz *. cf);
-            buf.hyy.(q) <- buf.hyy.(q) +. (p_hyy *. cf);
-            buf.hyz.(q) <- buf.hyz.(q) +. (p_hyz *. cf);
-            buf.hzz.(q) <- buf.hzz.(q) +. (p_hzz *. cf)
-          done
-        done
-      done
-    done;
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = orb_off to orb_off + norb - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
+  (* ---------- phase 2: fused accumulation ----------
 
-  let eval_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
-      ~(u1 : float array) ~(u2 : float array) =
-    stage_vgh_batch t b ~n ~u0 ~u1 ~u2;
-    for s = 0 to n - 1 do
-      accum_vgh_slot t b ~s ~buf:b.outs.(s) ~orb_off:0
-    done
+     One monomorphic kernel per storage kind reads the coefficient
+     bigarray directly inside the accumulation loop.  Reading a bigarray
+     whose element kind is only known through the functor argument goes
+     through an indirect call that boxes every float it returns; matching
+     the kind GADT once recovers the static kind, so the loads compile to
+     direct unboxed reads and the batched path stays allocation-free.
+     The coefficients are the same doubles in the same (a,b,c,m) order
+     and the weight products are the same expressions as the scalar
+     kernels', so results are bit-identical to them.
 
-  (* ---------- fused phase 2 (tiled layout's accumulators) ----------
-
-     The slab kernels above pay a full write+read copy of every stencil
-     coefficient (64·n_orb doubles per eval) to keep the kind-specialized
-     loads separate from the generic accumulation.  The tiled layout's
-     per-tile blocks are small enough to fuse instead: one monomorphic
-     kernel per storage kind reads the bigarray directly inside the
-     accumulation loop, eliminating the slab traffic entirely.  The
-     coefficients are the same doubles in the same (a,b,c,m) order and
-     the weight products are the same expressions, so results stay
-     bit-identical to the slab kernels (and hence to the scalar ones).
-
-     The ten vgh weight products depend only on the slot, so the tiled
-     driver stages them once per slot ({!stage_vgh_products}) instead of
-     recomputing 64×10 of them for every tile. *)
+     Phase 2 writes orbitals [orb_off, orb_off + n_orb t) of a result
+     buffer: a tiled table stages phase 1 once per batch and the ten vgh
+     weight products once per slot ({!stage_vgh_products}), then runs
+     this accumulation once per tile at the tile's orbital offset. *)
 
   (* Products for slot [s] into [b.bprod] at [(s·64 + point)·10 + field],
      field order v,gx,gy,gz,hxx,hxy,hxz,hyy,hyz,hzz — the exact
-     expressions of [accum_vgh_slot]. *)
+     expressions of [eval_vgh]. *)
   let stage_vgh_products (b : vgh_batch) ~s =
     let off = 4 * s in
     let prod = b.bprod in
@@ -711,36 +556,12 @@ module Make (R : Precision.REAL) = struct
     | Bigarray.Float64 -> accum_vgh_direct_f64
     | Bigarray.Float32 -> accum_vgh_direct_f32
 
-  (* Fused variant of [accum_vgh_slot]: requires the slot's products to
-     be staged ({!stage_vgh_products}) — the tiled driver stages once per
-     slot and calls this per tile. *)
-  let accum_vgh_slot_fused t (b : vgh_batch) ~s ~(buf : vgh_buf) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill buf.v orb_off norb 0.;
-    Array.fill buf.gx orb_off norb 0.;
-    Array.fill buf.gy orb_off norb 0.;
-    Array.fill buf.gz orb_off norb 0.;
-    Array.fill buf.hxx orb_off norb 0.;
-    Array.fill buf.hxy orb_off norb 0.;
-    Array.fill buf.hxz orb_off norb 0.;
-    Array.fill buf.hyy orb_off norb 0.;
-    Array.fill buf.hyz orb_off norb 0.;
-    Array.fill buf.hzz orb_off norb 0.;
-    accum_vgh_direct t.coeffs b ~s ~buf ~orb_off ~norb ~cy:t.cy ~cz:t.cz
-      ~orb_stride:t.orb_stride;
-    let fx = float_of_int t.nx and fy = float_of_int t.ny in
-    let fz = float_of_int t.nz in
-    for m = orb_off to orb_off + norb - 1 do
-      buf.gx.(m) <- buf.gx.(m) *. fx;
-      buf.gy.(m) <- buf.gy.(m) *. fy;
-      buf.gz.(m) <- buf.gz.(m) *. fz;
-      buf.hxx.(m) <- buf.hxx.(m) *. fx *. fx;
-      buf.hxy.(m) <- buf.hxy.(m) *. fx *. fy;
-      buf.hxz.(m) <- buf.hxz.(m) *. fx *. fz;
-      buf.hyy.(m) <- buf.hyy.(m) *. fy *. fy;
-      buf.hyz.(m) <- buf.hyz.(m) *. fy *. fz;
-      buf.hzz.(m) <- buf.hzz.(m) *. fz *. fz
-    done
+  (* Phase 2 for walker slot [s]; requires its staged products. *)
+  let accum_vgh_slot t (b : vgh_batch) ~s ~(buf : vgh_buf) ~orb_off =
+    zero_vgh t buf ~orb_off;
+    accum_vgh_direct t.coeffs b ~s ~buf ~orb_off ~norb:t.n_orb ~cy:t.cy
+      ~cz:t.cz ~orb_stride:t.orb_stride;
+    scale_vgh t buf ~orb_off
 
   let accum_v_direct_f64
       (coeffs : (float, Bigarray.float64_elt, Bigarray.c_layout)
@@ -793,13 +614,27 @@ module Make (R : Precision.REAL) = struct
     | Bigarray.Float64 -> accum_v_direct_f64
     | Bigarray.Float32 -> accum_v_direct_f32
 
-  (* Fused variant of [accum_v_slot]; the value products are three mults
-     per stencil point, cheap enough to recompute per tile. *)
-  let accum_v_slot_fused t (b : v_batch) ~s ~(out : float array) ~orb_off =
-    let norb = t.n_orb in
-    Array.fill out orb_off norb 0.;
-    accum_v_direct t.coeffs b ~s ~out ~orb_off ~norb ~cy:t.cy ~cz:t.cz
-      ~orb_stride:t.orb_stride
+  (* Phase 2 of Bspline-v for slot [s]; the value products are three
+     mults per stencil point, cheap enough to recompute per tile. *)
+  let accum_v_slot t (b : v_batch) ~s ~(out : float array) ~orb_off =
+    Array.fill out orb_off t.n_orb 0.;
+    accum_v_direct t.coeffs b ~s ~out ~orb_off ~norb:t.n_orb ~cy:t.cy
+      ~cz:t.cz ~orb_stride:t.orb_stride
+
+  let eval_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
+      ~(u1 : float array) ~(u2 : float array) =
+    stage_vgh_batch t b ~n ~u0 ~u1 ~u2;
+    for s = 0 to n - 1 do
+      stage_vgh_products b ~s;
+      accum_vgh_slot t b ~s ~buf:b.outs.(s) ~orb_off:0
+    done
+
+  let eval_v_batch t (b : v_batch) ~n ~(u0 : float array) ~(u1 : float array)
+      ~(u2 : float array) =
+    stage_v_batch t b ~n ~u0 ~u1 ~u2;
+    for s = 0 to n - 1 do
+      accum_v_slot t b ~s ~out:b.vouts.(s) ~orb_off:0
+    done
 
   (* Analytic size of a table in bytes for workloads too big to allocate
      (the B-spline column of Table 1). *)

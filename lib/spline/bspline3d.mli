@@ -61,6 +61,17 @@ module Make (R : Precision.REAL) : sig
   (** Bspline-vgh: values, fractional-coordinate gradients and Hessian
       components of all orbitals. *)
 
+  val eval_v_at :
+    t -> u0:float -> u1:float -> u2:float -> float array -> orb_off:int ->
+    unit
+  (** {!eval_v} into orbitals [orb_off, orb_off + n_orb t) of a wider
+      array — how a tiled table evaluates each tile in place. *)
+
+  val eval_vgh_at :
+    t -> u0:float -> u1:float -> u2:float -> vgh_buf -> orb_off:int -> unit
+  (** {!eval_vgh} into orbitals [orb_off, orb_off + n_orb t) of a wider
+      buffer. *)
+
   type vgh_batch = {
     cap : int;
     bix : int array;
@@ -75,16 +86,13 @@ module Make (R : Precision.REAL) : sig
     bsx : float array;
     bsy : float array;
     bsz : float array;
-    bslab : float array;
     bprod : float array;
     outs : vgh_buf array;
   }
   (** Crowd-sized scratch arena for {!eval_vgh_batch}: per-slot stencil
-      origins, flat 1-D weight vectors (offset [4*slot]), a gather slab
-      holding one walker's 4×4×4 coefficient block as unboxed doubles, a
-      staged weight-product buffer ([bprod], used by the fused phase 2),
-      and one result buffer per slot.  Allocate once per domain, reuse
-      forever. *)
+      origins, flat 1-D weight vectors (offset [4*slot]), the staged
+      weight products ([bprod], 640 per slot) and one result buffer per
+      slot.  Allocate once per domain, reuse forever. *)
 
   type v_batch = {
     vcap : int;
@@ -94,7 +102,6 @@ module Make (R : Precision.REAL) : sig
     vwx : float array;
     vwy : float array;
     vwz : float array;
-    vslab : float array;
     vouts : float array array;
   }
 
@@ -133,11 +140,11 @@ module Make (R : Precision.REAL) : sig
 
       The batched kernels split into a position-staging phase 1 (stencil
       origins + 1-D weights, no coefficient traffic) and a per-slot
-      gather/accumulate phase 2.  They are exposed so the tiled layout
+      accumulation phase 2 that reads the coefficients straight out of
+      the table.  They are exposed so the tiled layout
       ({!Bspline3d_tiled}) can stage once per batch and accumulate once
-      per tile into an orbital segment of a full-width buffer — running
-      the very same phase-2 code as the flat layout, which is what makes
-      tiled-vs-flat bit-identity structural rather than coincidental. *)
+      per tile into an orbital segment of a full-width buffer, running
+      the very code of {!eval_vgh_batch}. *)
 
   val stage_v_batch :
     t ->
@@ -160,40 +167,21 @@ module Make (R : Precision.REAL) : sig
     unit
   (** Phase 1 of {!eval_vgh_batch}. *)
 
-  val accum_v_slot : t -> v_batch -> s:int -> out:float array -> orb_off:int -> unit
-  (** Phase 2 of {!eval_v_batch} for walker slot [s]: zero, gather and
-      accumulate orbitals [orb_off, orb_off + n_orb t) of [out] from this
-      table.  Requires a staged arena whose slab holds at least
-      [64 * n_orb t] doubles. *)
-
-  val accum_vgh_slot : t -> vgh_batch -> s:int -> buf:vgh_buf -> orb_off:int -> unit
-  (** Phase 2 of {!eval_vgh_batch} for walker slot [s] (vgh analogue of
-      {!accum_v_slot}), including the metric scaling of the segment. *)
-
-  (** {2 Fused phase 2}
-
-      The slab kernels above copy every stencil coefficient through a
-      double slab before accumulating (64·n_orb write+read per eval).
-      The fused variants read the coefficient bigarray directly inside a
-      kind-specialized accumulation loop — same doubles, same (a,b,c,m)
-      order, so the results are bit-identical to the slab kernels.  The
-      tiled layout uses them as its per-tile phase 2: the slab traffic
-      disappears and the ten vgh weight products are staged once per
-      slot instead of recomputed per tile. *)
-
   val stage_vgh_products : vgh_batch -> s:int -> unit
-  (** Stage the 64×10 vgh weight products for slot [s] into the arena's
-      [bprod] (requires a staged phase 1 for [s]); the exact expressions
-      of {!accum_vgh_slot}. *)
+  (** Stage the 64×10 vgh weight products for slot [s] into [bprod]
+      (requires a staged phase 1 for [s]); the exact expressions of
+      {!eval_vgh}. *)
 
-  val accum_vgh_slot_fused :
+  val accum_vgh_slot :
     t -> vgh_batch -> s:int -> buf:vgh_buf -> orb_off:int -> unit
-  (** Fused {!accum_vgh_slot}; requires {!stage_vgh_products} for [s]. *)
+  (** Phase 2 of {!eval_vgh_batch} for walker slot [s]: zero, accumulate
+      and metric-scale orbitals [orb_off, orb_off + n_orb t) of [buf]
+      from this table.  Requires {!stage_vgh_products} for [s]. *)
 
-  val accum_v_slot_fused :
+  val accum_v_slot :
     t -> v_batch -> s:int -> out:float array -> orb_off:int -> unit
-  (** Fused {!accum_v_slot}; no product staging needed (three mults per
-      stencil point are recomputed in place). *)
+  (** Phase 2 of {!eval_v_batch} for walker slot [s] (no product staging
+      needed). *)
 
   val table_bytes :
     nx:int -> ny:int -> nz:int -> n_orb:int -> elt_bytes:int -> int

@@ -5,23 +5,20 @@ open Oqmc_containers
    tiles of [tile] orbitals, each tile holding its own contiguous
    grid-major coefficient block.  The outer structure is an array over
    tiles (AoS), the inner layout is the SoA multi-spline of {!Bspline3d}
-   — an array-of-SoA.
+   — an array-of-SoA.  The flat einspline layout is the one-tile case
+   ([tile >= n_orb]): it fills through {!Bspline3d.fill} and evaluates
+   straight into the caller's buffer, so it costs exactly the
+   {!Bspline3d} kernels.
 
-   Why it matters: the tile-bounded blocks are small enough that the
-   batched phase 2 can FUSE the coefficient loads into the accumulation
-   ({!Bspline3d.accum_vgh_slot_fused}): coefficients are read directly
-   out of each tile's bigarray instead of being copied through the flat
-   kernel's 64·n_orb-double gather slab, and the ten vgh weight products
-   are staged once per slot instead of recomputed per stencil walk.
-   Tiling also bounds the stride between stencil points and exposes an
-   outer loop that parallelizes over threads.  Evaluation results are
-   identical to the untiled table by construction: phase 1 (stencil
-   locate + 1-D weights) is staged once per batch through the shared
-   {!Bspline3d} arena, and the fused phase 2 consumes the same doubles
-   in the same (a,b,c,m) order as the flat kernels, once per tile at the
-   tile's orbital offset.  Each orbital's 64-point accumulation is
-   independent of the tile partition, so the f64 results are
-   bit-identical to flat. *)
+   Every evaluation writes each tile in place into its orbital segment
+   of the caller's buffer ({!Bspline3d.eval_vgh_at} and the batched
+   {!Bspline3d.accum_vgh_slot}), so the table holds no scratch and is
+   safe to share read-only across domains.  The batched kernels stage
+   phase 1 (stencil locate + 1-D weights) and the vgh weight products
+   once per batch and slot, then accumulate tile by tile.  Each
+   orbital's 64-point accumulation is independent of the tile partition
+   and consumes the same doubles in the same order as the scalar
+   kernels, so results are bit-identical for every tile size. *)
 
 module Make (R : Precision.REAL) = struct
   module B = Bspline3d.Make (R)
@@ -30,34 +27,25 @@ module Make (R : Precision.REAL) = struct
     tiles : B.t array;
     tile : int; (* orbitals per tile (last tile may be smaller) *)
     n_orb : int;
-    scratch_v : float array array; (* per-tile value buffers *)
-    scratch_vgh : B.vgh_buf array;
   }
 
   (* The batch arenas are the flat module's: phase-1 staging (origins +
-     weights) is tile-independent, the gather slab is sized for one tile
-     (64 × tile doubles — the cache-blocking that motivates the layout),
-     and the per-slot result buffers span the full orbital range so the
-     SPO layer consumes them exactly like flat arenas. *)
+     weights) and the weight products are tile-independent, and the
+     per-slot result buffers span the full orbital range. *)
   type vgh_batch = B.vgh_batch
   type v_batch = B.v_batch
 
   let create ~nx ~ny ~nz ~n_orb ~tile =
     if tile < 1 then invalid_arg "Bspline3d_tiled.create: tile < 1";
     if n_orb < 1 then invalid_arg "Bspline3d_tiled.create: n_orb < 1";
+    let tile = min tile n_orb in
     let n_tiles = (n_orb + tile - 1) / tile in
     let tiles =
       Array.init n_tiles (fun t ->
           let this = min tile (n_orb - (t * tile)) in
           B.create ~nx ~ny ~nz ~n_orb:this)
     in
-    {
-      tiles;
-      tile;
-      n_orb;
-      scratch_v = Array.map (fun b -> Array.make (B.n_orb b) 0.) tiles;
-      scratch_vgh = Array.map B.make_vgh_buf tiles;
-    }
+    { tiles; tile; n_orb }
 
   let n_orb t = t.n_orb
   let n_tiles t = Array.length t.tiles
@@ -79,67 +67,45 @@ module Make (R : Precision.REAL) = struct
     let ti, o = locate t orb in
     B.get_base t.tiles.(ti) ~orb:o ~i ~j ~k
 
-  (* Construction goes through the layout-shared driver (Bspline_fit):
-     one copy of the sweep and of the periodic prefilter serves both the
-     flat and the tiled layout, writing through this layout's set_base,
-     so the produced coefficients are identical to a flat table's. *)
+  (* Construction runs tile by tile through the flat module with the
+     orbital index shifted to the tile's offset (the prefilter is
+     separable per orbital), so coefficients are identical for every
+     tile size and a one-tile table is exactly a {!Bspline3d.fill}. *)
   let fill t f =
-    let nx, ny, nz = dims t in
-    Bspline_fit.fill ~nx ~ny ~nz ~n_orb:t.n_orb ~f
-      ~set:(fun ~orb ~i ~j ~k v -> set_base t ~orb ~i ~j ~k v)
+    Array.iteri
+      (fun ti b ->
+        let off = ti * t.tile in
+        B.fill b (if off = 0 then f else fun ~orb -> f ~orb:(orb + off)))
+      t.tiles
 
   let fit_periodic t ~samples =
-    let nx, ny, nz = dims t in
-    Bspline_fit.fit_periodic ~nx ~ny ~nz ~n_orb:t.n_orb ~samples
-      ~set:(fun ~orb ~i ~j ~k v -> set_base t ~orb ~i ~j ~k v)
+    Array.iteri
+      (fun ti b ->
+        let off = ti * t.tile in
+        B.fit_periodic b
+          ~samples:
+            (if off = 0 then samples
+             else fun ~orb -> samples ~orb:(orb + off)))
+      t.tiles
 
   (* Values of all orbitals; the outer tile loop is the unit that a
      task-parallel evaluation distributes over threads. *)
   let eval_v t ~u0 ~u1 ~u2 (out : float array) =
-    Array.iteri
-      (fun ti b ->
-        let s = t.scratch_v.(ti) in
-        B.eval_v b ~u0 ~u1 ~u2 s;
-        Array.blit s 0 out (ti * t.tile) (B.n_orb b))
-      t.tiles
+    for ti = 0 to Array.length t.tiles - 1 do
+      B.eval_v_at t.tiles.(ti) ~u0 ~u1 ~u2 out ~orb_off:(ti * t.tile)
+    done
 
   let eval_vgh t ~u0 ~u1 ~u2 (buf : B.vgh_buf) =
-    Array.iteri
-      (fun ti b ->
-        let s = t.scratch_vgh.(ti) in
-        B.eval_vgh b ~u0 ~u1 ~u2 s;
-        let n = B.n_orb b and off = ti * t.tile in
-        Array.blit s.B.v 0 buf.B.v off n;
-        Array.blit s.B.gx 0 buf.B.gx off n;
-        Array.blit s.B.gy 0 buf.B.gy off n;
-        Array.blit s.B.gz 0 buf.B.gz off n;
-        Array.blit s.B.hxx 0 buf.B.hxx off n;
-        Array.blit s.B.hxy 0 buf.B.hxy off n;
-        Array.blit s.B.hxz 0 buf.B.hxz off n;
-        Array.blit s.B.hyy 0 buf.B.hyy off n;
-        Array.blit s.B.hyz 0 buf.B.hyz off n;
-        Array.blit s.B.hzz 0 buf.B.hzz off n)
-      t.tiles
+    for ti = 0 to Array.length t.tiles - 1 do
+      B.eval_vgh_at t.tiles.(ti) ~u0 ~u1 ~u2 buf ~orb_off:(ti * t.tile)
+    done
 
   let make_vgh_buf t =
-    {
-      B.v = Array.make t.n_orb 0.;
-      gx = Array.make t.n_orb 0.;
-      gy = Array.make t.n_orb 0.;
-      gz = Array.make t.n_orb 0.;
-      hxx = Array.make t.n_orb 0.;
-      hxy = Array.make t.n_orb 0.;
-      hxz = Array.make t.n_orb 0.;
-      hyy = Array.make t.n_orb 0.;
-      hyz = Array.make t.n_orb 0.;
-      hzz = Array.make t.n_orb 0.;
-    }
+    let z () = Array.make t.n_orb 0. in
+    { B.v = z (); gx = z (); gy = z (); gz = z (); hxx = z (); hxy = z ();
+      hxz = z (); hyy = z (); hyz = z (); hzz = z () }
 
-  (* ---------- crowd-batched kernels ----------
-
-     Tile 0 is the widest tile, so its arena's gather slab (64 × its
-     orbital count doubles) fits every tile's stencil block; only the
-     per-slot result buffers need replacing with full-width ones. *)
+  (* ---------- crowd-batched kernels ---------- *)
 
   let make_vgh_batch t ~cap =
     let b = B.make_vgh_batch t.tiles.(0) ~cap in
@@ -149,13 +115,8 @@ module Make (R : Precision.REAL) = struct
     let b = B.make_v_batch t.tiles.(0) ~cap in
     { b with B.vouts = Array.init cap (fun _ -> Array.make t.n_orb 0.) }
 
-  (* Stage once (every tile shares the grid), then run the FUSED phase 2
-     tile by tile: the fused accumulators read each tile's coefficient
-     block directly out of its bigarray — no gather slab, so the
-     64·n_orb-double write+read copy the flat kernel pays per eval
-     disappears — and the ten vgh weight products are staged once per
-     slot instead of recomputed per tile.  Same doubles in the same
-     order, so f64 results stay bit-identical to the flat layout.  Zero
+  (* Stage once (every tile shares the grid), then accumulate tile by
+     tile; the ten vgh weight products are staged once per slot.  Zero
      allocation throughout. *)
   let eval_vgh_batch t (b : vgh_batch) ~n ~(u0 : float array)
       ~(u1 : float array) ~(u2 : float array) =
@@ -165,7 +126,7 @@ module Make (R : Precision.REAL) = struct
       B.stage_vgh_products b ~s;
       let buf = b.B.outs.(s) in
       for ti = 0 to nt - 1 do
-        B.accum_vgh_slot_fused t.tiles.(ti) b ~s ~buf ~orb_off:(ti * t.tile)
+        B.accum_vgh_slot t.tiles.(ti) b ~s ~buf ~orb_off:(ti * t.tile)
       done
     done
 
@@ -176,7 +137,7 @@ module Make (R : Precision.REAL) = struct
     for s = 0 to n - 1 do
       let out = b.B.vouts.(s) in
       for ti = 0 to nt - 1 do
-        B.accum_v_slot_fused t.tiles.(ti) b ~s ~out ~orb_off:(ti * t.tile)
+        B.accum_v_slot t.tiles.(ti) b ~s ~out ~orb_off:(ti * t.tile)
       done
     done
 end

@@ -1,16 +1,17 @@
 open Oqmc_containers
 
 (** Tiled (array-of-SoA) orbital table — the paper's future-work tiling
-    proposal.  Orbitals are split into fixed-size tiles, each with its own
+    proposal, and the one orbital-table layout behind every B-spline SPO.
+    Orbitals are split into fixed-size tiles, each with its own
     contiguous multi-spline block, bounding the per-stencil stride and
-    exposing a thread-parallel outer loop.  The batched phase 2 is FUSED
-    (coefficients read straight out of each tile's bigarray, no gather
-    slab, weight products staged once per slot), which is where the
-    layout's measured win over flat comes from.  Results are identical to
-    {!Bspline3d}: the batched kernels stage positions once through the
-    shared flat arena and the fused accumulation consumes the same
-    doubles in the same order as the flat phase 2, so f64 results are
-    bit-identical to the flat layout by construction. *)
+    exposing a thread-parallel outer loop.  The flat einspline layout is
+    the one-tile case ([tile >= n_orb]), which costs exactly the
+    {!Bspline3d} kernels.  Every tile is evaluated in place into its
+    orbital segment of the caller's buffer, so the table holds no scratch
+    and is safe to share across domains.  Results are bit-identical to
+    the scalar {!Bspline3d} kernels for every tile size: the batched
+    kernels stage positions once and accumulate the same doubles in the
+    same order per tile. *)
 
 module Make (R : Precision.REAL) : sig
   module B : module type of Bspline3d.Make (R)
@@ -19,12 +20,13 @@ module Make (R : Precision.REAL) : sig
 
   type vgh_batch = B.vgh_batch
   (** The flat module's arenas, with full-width ([n_orb]-long) per-slot
-      result buffers; the fused phase 2 leaves the gather slab unused. *)
+      result buffers. *)
 
   type v_batch = B.v_batch
 
   val create : nx:int -> ny:int -> nz:int -> n_orb:int -> tile:int -> t
-  (** @raise Invalid_argument for non-positive sizes. *)
+  (** A [tile] at or above [n_orb] gives the one-tile (flat) table.
+      @raise Invalid_argument for non-positive sizes. *)
 
   val n_orb : t -> int
   val n_tiles : t -> int
@@ -35,6 +37,8 @@ module Make (R : Precision.REAL) : sig
   val set_base : t -> orb:int -> i:int -> j:int -> k:int -> float -> unit
   val get_base : t -> orb:int -> i:int -> j:int -> k:int -> float
   val fill : t -> (orb:int -> i:int -> j:int -> k:int -> float) -> unit
+  (** Set every base coefficient from a pure function of the global
+      orbital and grid indices; tiles are filled one after another. *)
 
   val fit_periodic :
     t -> samples:(orb:int -> ix:int -> iy:int -> iz:int -> float) -> unit
@@ -56,11 +60,11 @@ module Make (R : Precision.REAL) : sig
     u1:float array ->
     u2:float array ->
     unit
-  (** Batched Bspline-vgh: positions are staged once, then the fused
-      per-tile accumulation streams each tile's coefficient block
-      directly from its bigarray.  Results land in [outs.(0..n-1)]
-      across the full orbital range, bit-identical to the flat batched
-      kernel on the double path, with zero allocation.
+  (** Batched Bspline-vgh: positions are staged once, then the per-tile
+      accumulation streams each tile's coefficient block directly from
+      its bigarray.  Results land in [outs.(0..n-1)] across the full
+      orbital range, bit-identical to the scalar kernels, with zero
+      allocation.
       @raise Invalid_argument if [n > cap]. *)
 
   val eval_v_batch :

@@ -19,11 +19,10 @@ open Oqmc_linalg
    batched crowd sweeps stay bit-identical to the scalar path by
    construction.
 
-   Kernel timing keys come from the SPO engine ([Spo.v_key] /
-   [Spo.vgh_key], "Bspline-v"/"Bspline-vgh" for the flat table and the
-   "-tiled" variants for the tiled one) for SPO evaluation inside [ratio]
-   and [ratio_grad]; SPO-vgl times the per-electron measurement sweep and
-   DetUpdate the inverse update.  The crowd entry points are UNtimed: the
+   Kernel timing keys: Bspline-v and Bspline-vgh for SPO evaluation
+   inside [ratio], [grad] and [ratio_grad] (for every SPO engine and
+   orbital-table layout); SPO-vgl times the per-electron measurement
+   sweep and DetUpdate the inverse update.  The crowd entry points are UNtimed: the
    crowd driver wraps each batched stage in a single timer window per
    crowd instead of one per walker.
 
@@ -50,7 +49,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   type state = {
     spo : Spo.t;
     timers : Timers.t;
-    staged : Spo.vgl option ref;
     first : int;
     n : int;
     binv : M.t;
@@ -74,7 +72,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   }
 
   let make ?(timers = Timers.null) ?(scheme = Sherman_morrison)
-      ?(staged = ref None) ~(spo : Spo.t) ~first ~count (ps : Ps.t) : state =
+      ~(spo : Spo.t) ~first ~count (ps : Ps.t) : state =
     let n = count in
     if n < 1 then invalid_arg "Slater_det.create: empty determinant";
     if spo.Spo.n_orb < n then
@@ -85,7 +83,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     {
       spo;
       timers;
-      staged;
       first;
       n;
       binv;
@@ -191,19 +188,9 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
   let component (st : state) : W.t =
     let n = st.n and first = st.first in
     let spo = st.spo and timers = st.timers in
-    (* A crowd driver may stage a pre-computed SPO result for the
-       position the next in-group grad/ratio_grad would evaluate; it is
-       consumed exactly once (the batch slot is reused for the next
-       lockstep step).  The batch kernel times itself, so no Bspline-vgh
-       sample is recorded here for staged evaluations. *)
-    let take_staged eval =
-      match !(st.staged) with
-      | Some s ->
-          st.staged := None;
-          s
-      | None ->
-          Timers.time timers spo.Spo.vgh_key (fun () -> eval st.vgl);
-          st.vgl
+    let eval_vgl r =
+      Timers.time timers "Bspline-vgh" (fun () -> spo.Spo.eval_vgl r st.vgl);
+      st.vgl
     in
     let load_row_pos ps =
       for i = 0 to n - 1 do
@@ -214,7 +201,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       flush st;
       let b = Lazy.force st.v_rows in
       load_row_pos ps;
-      Timers.time timers spo.Spo.v_key (fun () -> b.Spo.vrun st.row_pos n);
+      Timers.time timers "Bspline-v" (fun () -> b.Spo.vrun st.row_pos n);
       for i = 0 to n - 1 do
         A.write_from b.Spo.vslots.(i) (M.data st.phim)
           ~pos:(i * M.ld st.phim) ~n
@@ -229,7 +216,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
     let ratio ps k =
       if not (in_group st k) then 1.
       else begin
-        Timers.time timers spo.Spo.v_key (fun () ->
+        Timers.time timers "Bspline-v" (fun () ->
             spo.Spo.eval_v (Ps.active_pos ps) st.vbuf);
         load_psiv st;
         let r =
@@ -243,7 +230,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       if not (in_group st k) then (1., Vec3.zero)
       else begin
         let kl = k - first in
-        let vgl = take_staged (spo.Spo.eval_vgl (Ps.active_pos ps)) in
+        let vgl = eval_vgl (Ps.active_pos ps) in
         Array.blit vgl.Spo.v 0 st.vbuf 0 n;
         load_psiv st;
         let r = Timers.time timers "DetUpdate" (fun () -> det_ratio st kl) in
@@ -261,7 +248,7 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       if not (in_group st k) then Vec3.zero
       else begin
         let kl = k - first in
-        let vgl = take_staged (spo.Spo.eval_vgl (Ps.get ps k)) in
+        let vgl = eval_vgl (Ps.get ps k) in
         (* The denominator is 1 in exact arithmetic (row kl of M is the
            orbital vector at r_k); dividing by it stabilizes the mixed
            precision path.  With pending delayed updates every dot routes
@@ -344,6 +331,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) = struct
       bytes;
     }
 
-  let create ?timers ?scheme ?staged ~spo ~first ~count ps =
-    component (make ?timers ?scheme ?staged ~spo ~first ~count ps)
+  let create ?timers ?scheme ~spo ~first ~count ps =
+    component (make ?timers ?scheme ~spo ~first ~count ps)
 end

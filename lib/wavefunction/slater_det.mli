@@ -20,24 +20,16 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   val create :
     ?timers:Timers.t ->
     ?scheme:scheme ->
-    ?staged:Spo.vgl option ref ->
     spo:Spo.t ->
     first:int ->
     count:int ->
     Ps.t ->
     W.t
   (** Determinant over electrons [first, first + count); moves of
-      electrons outside the group have ratio 1.  Kernel timing keys: the
-      SPO engine's [v_key] (value-only SPO) and [vgh_key] (SPO with
-      derivatives) — "Bspline-v"/"Bspline-vgh" for the flat table,
-      "-tiled" variants for the tiled one — plus SPO-vgl (measurement
+      electrons outside the group have ratio 1.  Kernel timing keys:
+      Bspline-v (value-only SPO) and Bspline-vgh (SPO with derivatives)
+      for every SPO engine and table layout, plus SPO-vgl (measurement
       sweep) and DetUpdate (ratio dots and inverse updates).
-
-      [staged], when supplied, lets a crowd driver hand the determinant
-      a pre-computed SPO result for the position the next in-group
-      [grad]/[ratio_grad] would evaluate; the staged value is consumed
-      exactly once and no Bspline-vgh time is recorded for it (the batch
-      kernel times itself).
       @raise Invalid_argument on an empty group, an out-of-range window,
       or fewer orbitals than electrons. *)
 
@@ -51,7 +43,6 @@ module Make (R : Precision.REAL) (I : Precision.REAL) : sig
   val make :
     ?timers:Timers.t ->
     ?scheme:scheme ->
-    ?staged:Spo.vgl option ref ->
     spo:Spo.t ->
     first:int ->
     count:int ->

@@ -41,8 +41,6 @@ type v_batch = {
 type t = {
   n_orb : int;
   label : string;
-  v_key : string; (* Timers key charged for value evaluations *)
-  vgh_key : string; (* Timers key charged for value+derivative evals *)
   eval_v : Vec3.t -> float array -> unit;
   eval_vgl : Vec3.t -> vgl -> unit;
   make_vgl_batch : int -> vgl_batch;
@@ -88,13 +86,11 @@ let serial_v_batch ~n_orb ~eval_v cap =
         done);
   }
 
-let make ?make_vgl_batch ?make_v_batch ?(v_key = "Bspline-v")
-    ?(vgh_key = "Bspline-vgh") ~n_orb ~label ~eval_v ~eval_vgl ~bytes () =
+let make ?make_vgl_batch ?make_v_batch ~n_orb ~label ~eval_v ~eval_vgl ~bytes
+    () =
   {
     n_orb;
     label;
-    v_key;
-    vgh_key;
     eval_v;
     eval_vgl;
     make_vgl_batch =

@@ -15,42 +15,18 @@ open Oqmc_particle
    owns a crowd-sized arena, so parallel engines over the same [Spo.t]
    cannot trample each other's intermediates.
 
-   Two backing layouts share every line of the metric/batching code
-   below: the flat multi-spline table ({!create}) and the tiled AoSoA
-   table ({!create_tiled}); the tiled arenas are the flat module's record
-   types with full-width result slots, so only the table operations
-   differ.  Each layout carries its own Timers keys so the production
-   timing call sites attribute flat and tiled kernels separately. *)
+   The backing table is always the tiled (array-of-SoA) table; the flat
+   einspline layout is its one-tile case. *)
 
 module Make (R : Precision.REAL) = struct
-  module B3 = Oqmc_spline.Bspline3d.Make (R)
   module T3 = Oqmc_spline.Bspline3d_tiled.Make (R)
+  module B3 = T3.B
 
-  (* Layout-independent construction: everything after "a table that can
-     evaluate batches into B3 arenas" is shared between flat and tiled. *)
-  let build ~n ~table_bytes ~label ~v_key ~vgh_key ~(lattice : Lattice.t)
-      ~(make_scratch : unit -> B3.vgh_buf)
-      ~(tab_eval_v : u0:float -> u1:float -> u2:float -> float array -> unit)
-      ~(tab_eval_vgh : u0:float -> u1:float -> u2:float -> B3.vgh_buf -> unit)
-      ~(make_vgh_arena : cap:int -> B3.vgh_batch)
-      ~(run_vgh :
-         B3.vgh_batch ->
-         n:int ->
-         u0:float array ->
-         u1:float array ->
-         u2:float array ->
-         unit)
-      ~(make_v_arena : cap:int -> B3.v_batch)
-      ~(run_v :
-         B3.v_batch ->
-         n:int ->
-         u0:float array ->
-         u1:float array ->
-         u2:float array ->
-         unit) : Spo.t =
+  let create ~(table : T3.t) ~(lattice : Lattice.t) : Spo.t =
+    let n = T3.n_orb table in
     (* One scalar scratch buffer per domain: the Spo.t closure is shared
        across all domain engines, so a single captured buffer would race. *)
-    let scratch = Domain.DLS.new_key make_scratch in
+    let scratch = Domain.DLS.new_key (fun () -> T3.make_vgh_buf table) in
     (* Rows g_b of the inverse cell: ∂s_b/∂r_a = g_b[a]. *)
     let g = Lattice.frac_rows lattice in
     let g0 = g.(0) and g1 = g.(1) and g2 = g.(2) in
@@ -83,13 +59,28 @@ module Make (R : Precision.REAL) = struct
     in
     let eval_v (r : Vec3.t) out =
       let s = Lattice.to_frac lattice r in
-      tab_eval_v ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z out
+      T3.eval_v table ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z out
     in
     let eval_vgl (r : Vec3.t) (out : Spo.vgl) =
       let buf = Domain.DLS.get scratch in
       let s = Lattice.to_frac lattice r in
-      tab_eval_vgh ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z buf;
+      T3.eval_vgh table ~u0:s.Vec3.x ~u1:s.Vec3.y ~u2:s.Vec3.z buf;
       to_cartesian buf out
+    in
+    (* Fractional coordinates of [pos.(0..nw-1)] into [u0]/[u1]/[u2]:
+       [Lattice.to_frac] inlined field-wise, because the batched path
+       must stay allocation-free, and both to_frac's result Vec3 and a
+       cross-module [Vec3.dot]'s boxed float return would allocate per
+       slot without flambda. *)
+    let stage_frac (pos : Vec3.t array) nw (u0 : float array)
+        (u1 : float array) (u2 : float array) =
+      for s = 0 to nw - 1 do
+        let r = pos.(s) in
+        let x = r.Vec3.x and y = r.Vec3.y and z = r.Vec3.z in
+        u0.(s) <- (g0.Vec3.x *. x) +. (g0.Vec3.y *. y) +. (g0.Vec3.z *. z);
+        u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
+        u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
+      done
     in
     (* Native crowd batches: fractional coordinates for the whole crowd
        are staged into the context's arrays, the table's batched kernel
@@ -97,24 +88,14 @@ module Make (R : Precision.REAL) = struct
        blocks, then each slot is pushed through the metric. *)
     let make_vgl_batch cap =
       if cap < 1 then invalid_arg "Spo_bspline.make_vgl_batch: cap < 1";
-      let arena = make_vgh_arena ~cap in
+      let arena = T3.make_vgh_batch table ~cap in
       let slots = Array.init cap (fun _ -> Spo.make_vgl n) in
       let u0 = Array.make cap 0. in
       let u1 = Array.make cap 0. in
       let u2 = Array.make cap 0. in
       let run (pos : Vec3.t array) nw =
-        (* Inline [Lattice.to_frac] field-wise: the batched path must
-           stay allocation-free, and both to_frac's result Vec3 and a
-           cross-module [Vec3.dot]'s boxed float return would allocate
-           per slot without flambda. *)
-        for s = 0 to nw - 1 do
-          let r = pos.(s) in
-          let x = r.Vec3.x and y = r.Vec3.y and z = r.Vec3.z in
-          u0.(s) <- (g0.Vec3.x *. x) +. (g0.Vec3.y *. y) +. (g0.Vec3.z *. z);
-          u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
-          u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
-        done;
-        run_vgh arena ~n:nw ~u0 ~u1 ~u2;
+        stage_frac pos nw u0 u1 u2;
+        T3.eval_vgh_batch table arena ~n:nw ~u0 ~u1 ~u2;
         for s = 0 to nw - 1 do
           to_cartesian arena.B3.outs.(s) slots.(s)
         done
@@ -123,53 +104,22 @@ module Make (R : Precision.REAL) = struct
     in
     let make_v_batch cap =
       if cap < 1 then invalid_arg "Spo_bspline.make_v_batch: cap < 1";
-      let arena = make_v_arena ~cap in
+      let arena = T3.make_v_batch table ~cap in
       let u0 = Array.make cap 0. in
       let u1 = Array.make cap 0. in
       let u2 = Array.make cap 0. in
       let vrun (pos : Vec3.t array) nw =
-        for s = 0 to nw - 1 do
-          let r = pos.(s) in
-          let x = r.Vec3.x and y = r.Vec3.y and z = r.Vec3.z in
-          u0.(s) <- (g0.Vec3.x *. x) +. (g0.Vec3.y *. y) +. (g0.Vec3.z *. z);
-          u1.(s) <- (g1.Vec3.x *. x) +. (g1.Vec3.y *. y) +. (g1.Vec3.z *. z);
-          u2.(s) <- (g2.Vec3.x *. x) +. (g2.Vec3.y *. y) +. (g2.Vec3.z *. z)
-        done;
-        run_v arena ~n:nw ~u0 ~u1 ~u2
+        stage_frac pos nw u0 u1 u2;
+        T3.eval_v_batch table arena ~n:nw ~u0 ~u1 ~u2
       in
       (* Values need no metric conversion: expose the arena's result rows
          directly as the batch slots. *)
       { Spo.vcap = cap; vslots = arena.B3.vouts; vrun }
     in
-    Spo.make ~make_vgl_batch ~make_v_batch ~v_key ~vgh_key ~n_orb:n ~label
-      ~eval_v ~eval_vgl ~bytes:table_bytes ()
-
-  let create ~(table : B3.t) ~(lattice : Lattice.t) : Spo.t =
-    build ~n:(B3.n_orb table) ~table_bytes:(B3.bytes table)
-      ~label:(Printf.sprintf "bspline-%s" R.name)
-      ~v_key:"Bspline-v" ~vgh_key:"Bspline-vgh" ~lattice
-      ~make_scratch:(fun () -> B3.make_vgh_buf table)
-      ~tab_eval_v:(fun ~u0 ~u1 ~u2 out -> B3.eval_v table ~u0 ~u1 ~u2 out)
-      ~tab_eval_vgh:(fun ~u0 ~u1 ~u2 buf -> B3.eval_vgh table ~u0 ~u1 ~u2 buf)
-      ~make_vgh_arena:(fun ~cap -> B3.make_vgh_batch table ~cap)
-      ~run_vgh:(fun arena ~n ~u0 ~u1 ~u2 ->
-        B3.eval_vgh_batch table arena ~n ~u0 ~u1 ~u2)
-      ~make_v_arena:(fun ~cap -> B3.make_v_batch table ~cap)
-      ~run_v:(fun arena ~n ~u0 ~u1 ~u2 ->
-        B3.eval_v_batch table arena ~n ~u0 ~u1 ~u2)
-
-  let create_tiled ~(table : T3.t) ~(lattice : Lattice.t) : Spo.t =
-    build ~n:(T3.n_orb table) ~table_bytes:(T3.bytes table)
-      ~label:
-        (Printf.sprintf "bspline-tiled%d-%s" (T3.tile_size table) R.name)
-      ~v_key:"Bspline-v-tiled" ~vgh_key:"Bspline-vgh-tiled" ~lattice
-      ~make_scratch:(fun () -> T3.make_vgh_buf table)
-      ~tab_eval_v:(fun ~u0 ~u1 ~u2 out -> T3.eval_v table ~u0 ~u1 ~u2 out)
-      ~tab_eval_vgh:(fun ~u0 ~u1 ~u2 buf -> T3.eval_vgh table ~u0 ~u1 ~u2 buf)
-      ~make_vgh_arena:(fun ~cap -> T3.make_vgh_batch table ~cap)
-      ~run_vgh:(fun arena ~n ~u0 ~u1 ~u2 ->
-        T3.eval_vgh_batch table arena ~n ~u0 ~u1 ~u2)
-      ~make_v_arena:(fun ~cap -> T3.make_v_batch table ~cap)
-      ~run_v:(fun arena ~n ~u0 ~u1 ~u2 ->
-        T3.eval_v_batch table arena ~n ~u0 ~u1 ~u2)
+    let label =
+      if T3.n_tiles table = 1 then Printf.sprintf "bspline-%s" R.name
+      else Printf.sprintf "bspline-tiled%d-%s" (T3.tile_size table) R.name
+    in
+    Spo.make ~make_vgl_batch ~make_v_batch ~n_orb:n ~label ~eval_v ~eval_vgl
+      ~bytes:(T3.bytes table) ()
 end

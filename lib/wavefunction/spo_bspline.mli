@@ -5,19 +5,13 @@ open Oqmc_particle
     coordinates and pushes the table's fractional derivatives through the
     cell metric, so the determinant sees Cartesian gradients and
     laplacians.  The table is read-only and shared by every walker and
-    thread.  Two backing layouts share the engine code: the flat
-    multi-spline table and the tiled (array-of-SoA) table; the tiled
-    engine reports its kernels under the "-tiled" Timers keys. *)
+    thread.  It is always the tiled (array-of-SoA) table; the flat
+    einspline layout is its one-tile case, and every layout charges the
+    "Bspline-v"/"Bspline-vgh" Timers keys. *)
 
 module Make (R : Precision.REAL) : sig
-  module B3 : module type of Oqmc_spline.Bspline3d.Make (R)
   module T3 : module type of Oqmc_spline.Bspline3d_tiled.Make (R)
 
-  val create : table:B3.t -> lattice:Lattice.t -> Spo.t
-
-  val create_tiled : table:T3.t -> lattice:Lattice.t -> Spo.t
-  (** Same engine over a tiled table; results are bit-identical to
-      {!create} over a flat table with the same coefficients (the batched
-      kernels share phase-1 staging and run the flat phase-2 accumulation
-      per tile). *)
+  val create : table:T3.t -> lattice:Lattice.t -> Spo.t
+  (** Results are bit-identical for every tile size of [table]. *)
 end

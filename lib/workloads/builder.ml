@@ -77,12 +77,11 @@ let ion_positions (bx, by, bz) n =
    double either way.  The functor instantiations are precision-erased by
    [Spo.t]'s runtime closures, so both produce the same System shape.
 
-   [layout]/[tile] pick the table layout: the tiled (array-of-SoA) table
-   is filled through the same global-orbital [fill] callback, so its
-   coefficients — and therefore every f64 evaluation — are bit-identical
-   to the flat table's. *)
+   [tile] is the orbital tile of the (array-of-SoA) table; the flat
+   layout is the one-tile table.  Every tile size is filled through the
+   same global-orbital [fill] callback, so its coefficients — and
+   therefore every evaluation — are bit-identical to the flat table's. *)
 module Spline_builder (R : Precision.REAL) = struct
-  module B = Oqmc_spline.Bspline3d.Make (R)
   module T = Oqmc_spline.Bspline3d_tiled.Make (R)
   module SpoB = Spo_bspline.Make (R)
 
@@ -119,18 +118,11 @@ module Spline_builder (R : Precision.REAL) = struct
         modes.(orb);
       !acc
 
-  let build ~seed ~grid ~n_spo ~lattice =
+  let build ~seed ~grid ~n_spo ~tile ~lattice =
     let nx, ny, nz = grid in
-    let table = B.create ~nx ~ny ~nz ~n_orb:n_spo in
-    B.fill table (coeff_fn ~seed ~grid ~n_spo);
-    SpoB.create ~table ~lattice
-
-  let build_tiled ~seed ~grid ~n_spo ~tile ~lattice =
-    let nx, ny, nz = grid in
-    let tile = if tile <= 0 then min 32 n_spo else min tile n_spo in
     let table = T.create ~nx ~ny ~nz ~n_orb:n_spo ~tile in
     T.fill table (coeff_fn ~seed ~grid ~n_spo);
-    SpoB.create_tiled ~table ~lattice
+    SpoB.create ~table ~lattice
 end
 
 module Sp32 = Spline_builder (Precision.F32)
@@ -138,11 +130,14 @@ module Sp64 = Spline_builder (Precision.F64)
 
 let synthetic_spo ?(precision = `F32) ?(layout = `Flat) ?(tile = 0) ~seed
     ~grid ~n_spo ~lattice () =
-  match (precision, layout) with
-  | `F32, `Flat -> Sp32.build ~seed ~grid ~n_spo ~lattice
-  | `F64, `Flat -> Sp64.build ~seed ~grid ~n_spo ~lattice
-  | `F32, `Tiled -> Sp32.build_tiled ~seed ~grid ~n_spo ~tile ~lattice
-  | `F64, `Tiled -> Sp64.build_tiled ~seed ~grid ~n_spo ~tile ~lattice
+  let tile =
+    match layout with
+    | `Flat -> n_spo
+    | `Tiled -> if tile <= 0 then 32 else tile
+  in
+  match precision with
+  | `F32 -> Sp32.build ~seed ~grid ~n_spo ~tile ~lattice
+  | `F64 -> Sp64.build ~seed ~grid ~n_spo ~tile ~lattice
 
 (* Gaussian-shell pseudopotential channels per species. *)
 let nlpp_channels (species : Spec.species list) =

@@ -44,11 +44,12 @@ val system :
     identical either way ([`F32] rounds them once at store time), so
     f32-vs-f64 comparisons isolate storage/bandwidth effects.
 
-    [layout] (default [`Flat]) selects the orbital-table layout; with
-    [`Tiled], [tile] sets the orbital tile size (0 = a default of
-    [min 32 n_spo]).  Both layouts are filled through the same
-    global-orbital callback, so their coefficients are identical and f64
-    evaluations are bit-identical. *)
+    [layout] (default [`Flat]) selects the orbital tile of the
+    array-of-SoA table: [`Flat] is the one-tile table ([tile] ignored);
+    with [`Tiled], [tile] sets the tile size (0 = a default of
+    [min 32 n_spo]).  Every tile size is filled through the same
+    global-orbital callback, so coefficients are identical and
+    evaluations are bit-identical across layouts. *)
 
 val make :
   ?seed:int ->

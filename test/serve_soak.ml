@@ -191,15 +191,29 @@ let phase1 () =
       match stats_of socket with
       | s -> if s.Proto.running = 2 && s.Proto.queued = 2 then Some () else None
       | exception e when transient e -> None);
-  (* Let the runners cross at least one snapshot boundary so the
-     restart has something to resume from. *)
+  (* Let a runner cross at least one snapshot boundary so the restart
+     has something to resume from: wait for a job-snapshot generation
+     file ([<id>.job.gen-N]; the per-job [.status] file does not count)
+     of a job the daemon still reports as running, then kill at once — a
+     job here runs for a fraction of a second, so any further wait lets
+     it finish and its snapshots be scrubbed. *)
   let snapdir = Filename.concat dir "snap" in
-  poll ~timeout:30. ~what:"a snapshot on disk" (fun () ->
-      match Sys.readdir snapdir with
-      | [||] -> None
-      | _ -> Some ()
-      | exception Sys_error _ -> None);
-  Unix.sleepf 0.3;
+  let has_snapshot id =
+    match Sys.readdir snapdir with
+    | files ->
+        Array.exists (String.starts_with ~prefix:(id ^ ".job.gen-")) files
+    | exception Sys_error _ -> false
+  in
+  let running id =
+    match query_of socket id with
+    | Proto.State { state = "running"; _ } -> true
+    | _ -> false
+    | exception e when transient e -> false
+  in
+  poll ~timeout:30. ~what:"a running job's snapshot on disk" (fun () ->
+      if List.exists (fun id -> has_snapshot id && running id) ids then
+        Some ()
+      else None);
   Unix.kill daemon Sys.sigkill;
   (match wait_pid daemon with
   | Unix.WSIGNALED s when s = Sys.sigkill -> ()

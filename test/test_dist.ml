@@ -1035,17 +1035,22 @@ let run_cli args =
   Unix.close fd_out;
   Unix.close fd_err;
   let _, status = Unix.waitpid [] pid in
-  let read f = In_channel.with_open_bin f In_channel.input_all in
+  let read f =
+    let s = In_channel.with_open_bin f In_channel.input_all in
+    Sys.remove f;
+    s
+  in
   (status, read out, read err)
 
-(* Rejected supervisor parameters end the run before any work with one
-   [oqmc_run: <reason>] line on stderr and exit code 2. *)
+(* Rejected supervisor parameters and other bad command-line input end
+   the run before any work with one [oqmc_run: <reason>] line on stderr
+   and exit code 2. *)
 let test_cli_rejects_bad_supervisor_params () =
   List.iter
     (fun extra ->
       let name = String.concat " " extra in
       let status, out, err =
-        run_cli ([ "-m"; "dmc"; "-w"; "heg"; "-b"; "1"; "-s"; "2" ] @ extra)
+        run_cli ([ "-m"; "dmc"; "-b"; "1"; "-s"; "2" ] @ extra)
       in
       check_bool (name ^ ": exit 2") true (status = Unix.WEXITED 2);
       Alcotest.(check string) (name ^ ": nothing on stdout") "" out;
@@ -1059,6 +1064,11 @@ let test_cli_rejects_bad_supervisor_params () =
       [ "--ranks"; "5"; "-n"; "4" ];
       [ "--ranks"; "2"; "--gen-deadline-ms=-1" ];
       [ "--ranks"; "2"; "--heartbeat-ms"; "0" ];
+      [ "-w"; "Bogus" ];
+      [ "-n"; "0" ];
+      [ "--crowd"; "0" ];
+      [ "--precision"; "f16" ];
+      [ "-v"; "Current-f64" ];
     ]
 
 let () =

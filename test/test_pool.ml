@@ -256,9 +256,9 @@ let test_batch_bounds () =
 let test_spo_batch_identity () =
   let lat = Lattice.orthorhombic 3. 5. 7. in
   let module SpoB = Spo_bspline.Make (Precision.F64) in
-  let table = B3_64.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:3 in
+  let table = SpoB.T3.create ~nx:8 ~ny:8 ~nz:8 ~n_orb:3 ~tile:3 in
   let rng = Xoshiro.create 5 in
-  B3_64.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
+  SpoB.T3.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
   let spo = SpoB.create ~table ~lattice:lat in
   let k = 6 in
@@ -401,23 +401,21 @@ let test_crowd_pipeline_active () =
       ~base:0 ~size:3 ()
   in
   check_bool "Current_f64 crowd pipelined" true (Crowd.pipelined cr64);
-  let off = Crowd.create ~pipeline:false ~factory:(factory sys) ~base:0 ~size:3 () in
-  check_bool "pipeline:false honoured" false (Crowd.pipelined off);
   let cref =
     Crowd.create
       ~factory:(Build.factory ~variant:Variant.Ref ~seed:3 sys)
       ~base:0 ~size:3 ()
   in
-  check_bool "Store layout falls back" false (Crowd.pipelined cref)
+  check_bool "Store layout runs scalar sweeps" false (Crowd.pipelined cref)
 
-(* The pipelined sweep, the staged (PR2) sweep and the scalar per-engine
-   sweep must produce bit-identical trajectories. *)
-let test_crowd_pipeline_vs_staged () =
+(* A crowd sweep must reproduce the scalar per-engine sweep (the oracle)
+   bit for bit: the full pipeline of a Current crowd, and the per-slot
+   scalar sweeps of a Ref crowd whose engines decline the batched hook. *)
+let test_crowd_pipeline_vs_scalar () =
   let sys = Lazy.force harmonic_sys in
   let size = 3 in
-  let run_crowd ~pipeline =
-    let cr = Crowd.create ~pipeline ~factory:(factory sys) ~base:0 ~size () in
-    check_bool "pipelined as requested" pipeline (Crowd.pipelined cr);
+  let run_crowd factory =
+    let cr = Crowd.create ~factory ~base:0 ~size () in
     let rngs = Xoshiro.streams ~seed:77 size in
     for s = 0 to size - 1 do
       (Crowd.engine cr s).Engine_api.randomize rngs.(s)
@@ -430,13 +428,16 @@ let test_crowd_pipeline_vs_staged () =
       in
       Array.iter (fun r -> acc := !acc + r.Engine_api.accepted) rs
     done;
+    let vgh0 =
+      Timers.count (Crowd.engine cr 0).Engine_api.timers "Bspline-vgh"
+    in
     let es =
       Array.init size (fun s -> (Crowd.engine cr s).Engine_api.measure ())
     in
-    (!acc, es)
+    (Crowd.pipelined cr, !acc, es, vgh0)
   in
-  let run_scalar () =
-    let engines = Array.init size (factory sys) in
+  let run_scalar factory =
+    let engines = Array.init size factory in
     let rngs = Xoshiro.streams ~seed:77 size in
     Array.iteri (fun s e -> e.Engine_api.randomize rngs.(s)) engines;
     let sweep_rngs = Xoshiro.streams ~seed:123 size in
@@ -448,15 +449,31 @@ let test_crowd_pipeline_vs_staged () =
           acc := !acc + r.Engine_api.accepted)
         engines
     done;
-    (!acc, Array.map (fun e -> e.Engine_api.measure ()) engines)
+    let vgh =
+      Array.fold_left
+        (fun a e -> a + Timers.count e.Engine_api.timers "Bspline-vgh")
+        0 engines
+    in
+    (!acc, Array.map (fun e -> e.Engine_api.measure ()) engines, vgh)
   in
-  let acc_p, e_p = run_crowd ~pipeline:true in
-  let acc_s, e_s = run_crowd ~pipeline:false in
-  let acc_r, e_r = run_scalar () in
-  check_int "accepts pipeline = staged" acc_s acc_p;
-  check_int "accepts pipeline = scalar" acc_r acc_p;
-  same_float_array "local energies pipeline = staged" e_s e_p;
-  same_float_array "local energies pipeline = scalar" e_r e_p
+  List.iter
+    (fun (name, variant, pipelined) ->
+      let factory = Build.factory ~variant ~seed:3 sys in
+      let piped, acc_c, e_c, vgh_c = run_crowd factory in
+      let acc_r, e_r, vgh_r = run_scalar factory in
+      check_bool (name ^ " crowd pipelined") pipelined piped;
+      check_int (name ^ " accepts crowd = scalar") acc_r acc_c;
+      same_float_array (name ^ " local energies crowd = scalar") e_r e_c;
+      (* Scalar sweeps of a crowd fold every slot's kernel time into the
+         slot-0 timers the runner merges. *)
+      if not pipelined then
+        check_int (name ^ " slot-0 timers hold every slot's Bspline-vgh")
+          vgh_r vgh_c)
+    [
+      ("Current", Variant.Current, true);
+      ("Current_f64", Variant.Current_f64, true);
+      ("Ref", Variant.Ref, false);
+    ]
 
 (* Crowd batching composed with delayed determinant updates: the whole
    VMC trajectory stays bit-identical to the scalar path at equal
@@ -510,8 +527,8 @@ let () =
             test_dmc_crowd_identity;
           Alcotest.test_case "pipeline active" `Quick
             test_crowd_pipeline_active;
-          Alcotest.test_case "pipeline vs staged vs scalar" `Quick
-            test_crowd_pipeline_vs_staged;
+          Alcotest.test_case "pipeline vs scalar" `Quick
+            test_crowd_pipeline_vs_scalar;
           Alcotest.test_case "vmc crowd delayed bit-identical" `Quick
             test_vmc_crowd_identity_delayed;
         ] );

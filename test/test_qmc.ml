@@ -369,6 +369,25 @@ let test_tiled_vs_flat_bit_identical () =
       }
   in
   let v_flat = vmc `Flat and v_tiled = vmc `Tiled in
+  (* Scalar sweeps on two domains share one read-only table: a layout
+     that kept evaluation scratch in the table would race here. *)
+  let vmc2 layout =
+    Vmc.run ~crowd:1
+      ~factory:
+        (Build.factory ~variant:Variant.Current_f64 ~precision:`F64 ~seed:21
+           (sys layout))
+      {
+        Vmc.n_walkers = 4;
+        warmup = 3;
+        blocks = 2;
+        steps_per_block = 4;
+        tau = 0.05;
+        seed = 22;
+        n_domains = 2;
+      }
+  in
+  check_bool "VMC tiled = flat on two domains, scalar sweeps" true
+    ((vmc2 `Tiled).Vmc.energy = (vmc2 `Flat).Vmc.energy);
   check_bool
     (Printf.sprintf "VMC tiled %.17g = flat %.17g" v_tiled.Vmc.energy
        v_flat.Vmc.energy)
@@ -398,6 +417,49 @@ let test_tiled_vs_flat_bit_identical () =
     (d_tiled.Dmc.energy = d_flat.Dmc.energy);
   check_bool "DMC population bit-identical" true
     (d_tiled.Dmc.mean_population = d_flat.Dmc.mean_population)
+
+(* Every table layout charges the same Timers keys: a tiled table with
+   more than one tile (tile < n_orb) must show up under Bspline-vgh and
+   Bspline-v — the keys qmcbench's layer attribution and the efficiency
+   audit read — on the scalar sweep, the crowd pipeline, the
+   determinant recompute and the NLPP ratios, and under no other
+   spline key. *)
+let test_tiled_charges_bspline_keys () =
+  let sys =
+    Builder.make ~seed:7 ~with_nlpp:true ~reduction:32 ~precision:`F64
+      ~layout:`Tiled ~tile:5 Spec.nio32
+  in
+  check_bool "more than one tile" true
+    (sys.System.spo.Oqmc_wavefunction.Spo.n_orb > 5);
+  let factory = Build.factory ~variant:Variant.Current_f64 ~seed:3 sys in
+  let check_keys what (timers : Oqmc_containers.Timers.t) =
+    List.iter
+      (fun key ->
+        check_bool
+          (Printf.sprintf "%s charges %s" what key)
+          true
+          (Oqmc_containers.Timers.count timers key > 0))
+      [ "Bspline-vgh"; "Bspline-v" ];
+    List.iter
+      (fun key ->
+        check_bool
+          (Printf.sprintf "%s: no spline key %S besides the two" what key)
+          true
+          (not
+             (String.starts_with ~prefix:"Bspline" key
+             && key <> "Bspline-vgh" && key <> "Bspline-v")))
+      (Oqmc_containers.Timers.keys timers)
+  in
+  let e = factory 0 in
+  ignore (e.Engine_api.sweep (Xoshiro.create 4) ~tau:0.05);
+  ignore (e.Engine_api.refresh ());
+  ignore (e.Engine_api.measure ());
+  check_keys "scalar engine" e.Engine_api.timers;
+  let cr = Crowd.create ~factory ~base:0 ~size:2 () in
+  check_bool "crowd pipelined" true (Crowd.pipelined cr);
+  ignore (Crowd.sweep cr ~active:2 ~rng:(fun _ -> Xoshiro.create 5) ~tau:0.05);
+  ignore ((Crowd.engine cr 0).Engine_api.refresh ());
+  check_keys "crowd" (Crowd.engine cr 0).Engine_api.timers
 
 let test_dmc_f32_vs_f64_agree () =
   (* Mixed precision is a storage knob, not a physics knob: a short DMC
@@ -577,9 +639,80 @@ let test_checkpoint_corrupt () =
    with Checkpoint.Corrupt _ -> ());
   Sys.remove path
 
+(* ---------- trajectory pins ----------
+
+   MD5 over the IEEE bits of reduced NiO-32 VMC trajectories: the block
+   energy series, the population series (walker id, local energy and
+   log Ψ of every walker observed per block) and the acceptance.  The
+   knob sets follow the qmcbench workloads (nio32-vmc,
+   nio32-vmc-nlpp-f64, nio32-ref-vmc) plus a Ref crowd and a tiled
+   table with more than one tile.  Refactors of the move path, the crowd
+   driver or the orbital-table layout must leave every hash unchanged;
+   a change that is meant to move trajectories updates these pins and
+   logs old and new values. *)
+let nio32_vmc_hash ?(nlpp = false) ?(layout = `Flat) ?(tile = 0) ~variant
+    ~precision ~crowd ~delay ~domains ~walkers ~tau () =
+  let table_prec = match precision with Some `F64 -> `F64 | _ -> `F32 in
+  let sys =
+    Builder.make ~seed:1 ~with_nlpp:nlpp ~reduction:8 ~precision:table_prec
+      ~layout ~tile Spec.nio32
+  in
+  let factory =
+    Build.factory
+      ?delay:(if delay <= 1 then None else Some delay)
+      ?precision ~variant ~seed:1 sys
+  in
+  let buf = Buffer.create 4096 in
+  let bits x = Buffer.add_int64_le buf (Int64.bits_of_float x) in
+  let observe (w : Walker.t) =
+    Buffer.add_int32_le buf (Int32.of_int w.Walker.id);
+    bits w.Walker.e_local;
+    bits w.Walker.log_psi
+  in
+  let res =
+    Vmc.run ~observe ~crowd ~factory
+      {
+        Vmc.n_walkers = walkers;
+        warmup = 1;
+        blocks = 2;
+        steps_per_block = 2;
+        tau;
+        seed = 2;
+        n_domains = domains;
+      }
+  in
+  Array.iter bits res.Vmc.block_energies;
+  bits res.Vmc.acceptance;
+  Digest.to_hex (Digest.string (Buffer.contents buf))
+
+let test_trajectory_pins () =
+  let pin name expected got =
+    Alcotest.(check string) (Printf.sprintf "%s trajectory MD5" name)
+      expected got
+  in
+  pin "nio32-vmc knobs" "448ea75481dd7e2615842dbd36949dfa"
+    (nio32_vmc_hash ~variant:Variant.Current ~precision:None ~crowd:8
+       ~delay:4 ~domains:2 ~walkers:16 ~tau:0.005 ());
+  pin "nio32-vmc-nlpp-f64 knobs" "8a165e52a93a40216a7d9739f0d1d15a"
+    (nio32_vmc_hash ~nlpp:true ~variant:Variant.Current
+       ~precision:(Some `F64) ~crowd:4 ~delay:4 ~domains:2 ~walkers:8
+       ~tau:0.1 ());
+  pin "nio32-ref-vmc knobs" "1b6b75ed3528fe2b4533120d45f4b396"
+    (nio32_vmc_hash ~variant:Variant.Ref ~precision:(Some `F64) ~crowd:1
+       ~delay:1 ~domains:1 ~walkers:16 ~tau:0.005 ());
+  pin "Ref crowd 3" "fb7361be838c48a9bb78dd78e0408acf"
+    (nio32_vmc_hash ~variant:Variant.Ref ~precision:(Some `F64) ~crowd:3
+       ~delay:1 ~domains:1 ~walkers:6 ~tau:0.005 ());
+  pin "tiled tile 16" "80a9cd0b9ed56435d66ce6e590658196"
+    (nio32_vmc_hash ~layout:`Tiled ~tile:16 ~variant:Variant.Current
+       ~precision:None ~crowd:8 ~delay:4 ~domains:2 ~walkers:16 ~tau:0.005
+       ())
+
 let () =
   Alcotest.run "qmc"
     [
+      ( "trajectory",
+        [ Alcotest.test_case "pins" `Quick test_trajectory_pins ] );
       ( "exact_systems",
         [
           Alcotest.test_case "harmonic zero variance" `Quick
@@ -621,6 +754,8 @@ let () =
             test_dmc_f32_vs_f64_agree;
           Alcotest.test_case "tiled vs flat bit-identical" `Quick
             test_tiled_vs_flat_bit_identical;
+          Alcotest.test_case "tiled table charges Bspline keys" `Quick
+            test_tiled_charges_bspline_keys;
         ] );
       ( "workloads",
         [

@@ -375,54 +375,81 @@ let prop_partition_of_unity =
     QCheck.(float_range 0. 0.999999)
     (fun t -> abs_float (Bspline_basis.sum (Bspline_basis.value t) -. 1.) < 1e-12)
 
-(* Random tile sizes never change the batched results: exact equality
-   against the flat table at every orbital, for both eval_v and
-   eval_vgh.  Complements the fixed-tile bit-identity test with
-   arbitrary (tile, position) draws. *)
+(* Random tile sizes never change the results: every batched and scalar
+   evaluation of a tiled table — including the one-tile (flat) table,
+   tile = n_orb — equals the scalar [eval_v]/[eval_vgh] oracle of a
+   single-block table bit for bit, at f64 and at f32 storage. *)
+module Tile_oracle (R : Precision.REAL) = struct
+  module B = Bspline3d.Make (R)
+  module T = Bspline3d_tiled.Make (R)
+
+  let nx = 6
+  let n_orb = 7
+
+  let vals =
+    let rng = Oqmc_rng.Xoshiro.create 91 in
+    Array.init (nx * nx * nx * n_orb) (fun _ ->
+        Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
+
+  let coeff ~orb ~i ~j ~k = vals.(((((i * nx) + j) * nx) + k) * n_orb + orb)
+
+  let oracle =
+    lazy
+      (let p = B.create ~nx ~ny:nx ~nz:nx ~n_orb in
+       B.fill p coeff;
+       p)
+
+  let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b)
+
+  let same_vgh (f : B.vgh_buf) (t : B.vgh_buf) =
+    let ok = ref true in
+    for m = 0 to n_orb - 1 do
+      List.iter2
+        (fun a b -> if not (same a.(m) b.(m)) then ok := false)
+        [ f.B.v; f.B.gx; f.B.gy; f.B.gz; f.B.hxx; f.B.hxy; f.B.hxz;
+          f.B.hyy; f.B.hyz; f.B.hzz ]
+        [ t.B.v; t.B.gx; t.B.gy; t.B.gz; t.B.hxx; t.B.hxy; t.B.hxz;
+          t.B.hyy; t.B.hyz; t.B.hzz ]
+    done;
+    !ok
+
+  let holds ~tile (x, y, z) =
+    let plain = Lazy.force oracle in
+    let v = Array.make n_orb 0. and g = B.make_vgh_buf plain in
+    B.eval_v plain ~u0:x ~u1:y ~u2:z v;
+    B.eval_vgh plain ~u0:x ~u1:y ~u2:z g;
+    let tiled = T.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
+    T.fill tiled coeff;
+    let u0 = [| x |] and u1 = [| y |] and u2 = [| z |] in
+    let tb = T.make_vgh_batch tiled ~cap:1 in
+    let tv = T.make_v_batch tiled ~cap:1 in
+    T.eval_vgh_batch tiled tb ~n:1 ~u0 ~u1 ~u2;
+    T.eval_v_batch tiled tv ~n:1 ~u0 ~u1 ~u2;
+    let sv = Array.make n_orb 0. and sg = T.make_vgh_buf tiled in
+    T.eval_v tiled ~u0:x ~u1:y ~u2:z sv;
+    T.eval_vgh tiled ~u0:x ~u1:y ~u2:z sg;
+    Array.for_all2 same v tv.B.vouts.(0)
+    && Array.for_all2 same v sv
+    && same_vgh g tb.B.outs.(0)
+    && same_vgh g sg
+
+  let prop name =
+    QCheck.Test.make ~name ~count:30
+      QCheck.(
+        pair (int_range 1 12)
+          (triple (float_range 0. 0.999) (float_range 0. 0.999)
+             (float_range 0. 0.999)))
+      (fun (tile, pos) -> holds ~tile pos && holds ~tile:n_orb pos)
+end
+
+module Tile_oracle_64 = Tile_oracle (Precision.F64)
+module Tile_oracle_32 = Tile_oracle (Precision.F32)
+
 let prop_tile_invariant =
-  let nx = 6 and n_orb = 7 in
-  let rng = Oqmc_rng.Xoshiro.create 91 in
-  let vals = Array.init (nx * nx * nx * n_orb) (fun _ ->
-      Oqmc_rng.Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.)
-  in
-  let idx ~orb ~i ~j ~k = ((((i * nx) + j) * nx) + k) * n_orb + orb in
-  let plain = B3_64.create ~nx ~ny:nx ~nz:nx ~n_orb in
-  B3_64.fill plain (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
-  QCheck.Test.make ~name:"tile size never changes batched results" ~count:30
-    QCheck.(
-      pair (int_range 1 12)
-        (triple (float_range 0. 0.999) (float_range 0. 0.999)
-           (float_range 0. 0.999)))
-    (fun (tile, (x, y, z)) ->
-      let tiled = B3T.create ~nx ~ny:nx ~nz:nx ~n_orb ~tile in
-      B3T.fill tiled (fun ~orb ~i ~j ~k -> vals.(idx ~orb ~i ~j ~k));
-      let u0 = [| x |] and u1 = [| y |] and u2 = [| z |] in
-      let fb = B3_64.make_vgh_batch plain ~cap:1 in
-      let fv = B3_64.make_v_batch plain ~cap:1 in
-      let tb = B3T.make_vgh_batch tiled ~cap:1 in
-      let tv = B3T.make_v_batch tiled ~cap:1 in
-      B3_64.eval_vgh_batch plain fb ~n:1 ~u0 ~u1 ~u2;
-      B3_64.eval_v_batch plain fv ~n:1 ~u0 ~u1 ~u2;
-      B3T.eval_vgh_batch tiled tb ~n:1 ~u0 ~u1 ~u2;
-      B3T.eval_v_batch tiled tv ~n:1 ~u0 ~u1 ~u2;
-      let ok = ref true in
-      let f = fb.B3_64.outs.(0) and t = tb.B3_64.outs.(0) in
-      for m = 0 to n_orb - 1 do
-        if fv.B3_64.vouts.(0).(m) <> tv.B3_64.vouts.(0).(m) then ok := false;
-        if
-          f.B3_64.v.(m) <> t.B3_64.v.(m)
-          || f.B3_64.gx.(m) <> t.B3_64.gx.(m)
-          || f.B3_64.gy.(m) <> t.B3_64.gy.(m)
-          || f.B3_64.gz.(m) <> t.B3_64.gz.(m)
-          || f.B3_64.hxx.(m) <> t.B3_64.hxx.(m)
-          || f.B3_64.hxy.(m) <> t.B3_64.hxy.(m)
-          || f.B3_64.hxz.(m) <> t.B3_64.hxz.(m)
-          || f.B3_64.hyy.(m) <> t.B3_64.hyy.(m)
-          || f.B3_64.hyz.(m) <> t.B3_64.hyz.(m)
-          || f.B3_64.hzz.(m) <> t.B3_64.hzz.(m)
-        then ok := false
-      done;
-      !ok)
+  Tile_oracle_64.prop "tile size never changes batched results"
+
+let prop_tile_invariant_f32 =
+  Tile_oracle_32.prop "tile size never changes f32 results"
 
 let prop_spline_zero_outside =
   QCheck.Test.make ~name:"1d spline zero outside cutoff" ~count:200
@@ -478,6 +505,6 @@ let () =
         qt
           [
             prop_partition_of_unity; prop_spline_zero_outside;
-            prop_tile_invariant;
+            prop_tile_invariant; prop_tile_invariant_f32;
           ] );
     ]

@@ -306,11 +306,10 @@ let test_bspline_spo_metric () =
   (* Non-cubic cell: the Cartesian gradients from the metric transform
      must match finite differences of the values. *)
   let lat = Lattice.orthorhombic 3. 5. 7. in
-  let module B3 = Oqmc_spline.Bspline3d.Make (Precision.F64) in
   let module SpoB = Spo_bspline.Make (Precision.F64) in
-  let table = B3.create ~nx:10 ~ny:10 ~nz:10 ~n_orb:2 in
+  let table = SpoB.T3.create ~nx:10 ~ny:10 ~nz:10 ~n_orb:2 ~tile:2 in
   let rng = Xoshiro.create 9 in
-  B3.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
+  SpoB.T3.fill table (fun ~orb:_ ~i:_ ~j:_ ~k:_ ->
       Xoshiro.uniform_range rng ~lo:(-1.) ~hi:1.);
   let spo = SpoB.create ~table ~lattice:lat in
   let vgl = Spo.make_vgl 2 in
